@@ -1,45 +1,16 @@
 """Build script.
 
-The compiled kernel is an optional accelerator: if Cython or a C compiler
-is unavailable the build silently skips the extension and the package
-falls back to the pure-Python kernel at import time.
+The compiled kernel is an optional accelerator: without a C compiler the
+build skips the extension and the package falls back to the pure-Python
+kernel at import time.
 
     python setup.py build_ext --inplace    # build the fast kernel in a checkout
 """
 
-import os
-
 from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
 
-
-class optional_build_ext(build_ext):
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:
-            print(f"NOTE: skipping compiled kernel ({exc}); pure-Python fallback will be used")
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            print(f"NOTE: could not build {ext.name} ({exc}); pure-Python fallback will be used")
-
-
-def extensions():
-    pyx = os.path.join("src", "fiberwalk", "_kernel", "_fast.pyx")
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        print("NOTE: Cython not available; building without the compiled kernel")
-        return []
-    if not os.path.exists(pyx):
-        return []
-    return cythonize(
-        [Extension("fiberwalk._kernel._fast", [pyx])],
-        compiler_directives={"language_level": "3"},
-    )
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": optional_build_ext})
+setup(
+    ext_modules=[
+        Extension("fiberwalk._kernel._fast", ["src/fiberwalk/_kernel/_fast.c"], optional=True)
+    ]
+)

@@ -1,8 +1,10 @@
 """Kernel backend selection.
 
-Imports the compiled kernel when it was built, otherwise the pure-Python
-implementation.  Set FIBERWALK_PURE=1 to force the fallback (used by the
-benchmark and the parity tests).
+Both backends export the same interface: `pack_moves`, `forward_neighbors`,
+`neighbors_signed`, `component` and `BACKEND`.  The compiled `_fast`
+extension is used when it was built (`python setup.py build_ext --inplace`),
+otherwise the pure-Python `pure` module.  Set FIBERWALK_PURE=1 to force the
+fallback.
 """
 
 import os
@@ -19,7 +21,6 @@ else:
 
 BACKEND = impl.BACKEND
 pack_moves = impl.pack_moves
-neighbors = impl.neighbors
 neighbors_signed = impl.neighbors_signed
 forward_neighbors = impl.forward_neighbors
 component = impl.component

@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import jsonio
 from .cones import (
@@ -351,26 +350,19 @@ def _table1_row(name: str) -> dict:
 
 def cmd_table1(args):
     names = ["c4", "square-pyramid", "g48", "k23", "c5"]
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = dict(zip(names, pool.map(_table1_row, names)))
-    else:
-        rows = {name: _table1_row(name) for name in names}
+    rows = {name: _table1_row(name) for name in names}
     expected = table1_expected()
     all_match = True
     for name in names:
         exp = expected[name]
         row = rows[name]
         row["expected"] = exp
-        row["match"] = all(row[k] == exp[k] for k in exp)
-        if preset_family_needs_dual(name):
-            row["match"] = row["match"] and row.get("interior_point_family_route", False)
+        # the family-inequality route, where a model has one, must agree with brute force
+        row["match"] = all(row[k] == exp[k] for k in exp) and (
+            row.get("interior_point_family_route", row["interior_point"]) == row["interior_point"]
+        )
         all_match = all_match and row["match"]
     return {"rows": rows, "all_match": all_match}, (0 if all_match else 1)
-
-
-def preset_family_needs_dual(name: str) -> bool:
-    return name == "k23"
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_k33)
 
     sp = add_parser("table1", help="summary-table reproduction with pinned expectations")
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=cmd_table1)
 
     return p

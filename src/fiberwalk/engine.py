@@ -21,13 +21,16 @@ from .tables import Move, StateSpace, Table, apply_move, state_at, state_index
 DEFAULT_NODE_CAP = 1_000_000
 # total multisets enumerated by verify_markov_basis before giving up
 DEFAULT_TABLE_BUDGET = 5_000_000
+MAX_PACKED_DEGREE = 255
 
 
 def pack_table(t: Table, space: StateSpace) -> bytes:
+    """One byte per cell.  Moves keep the degree, so capping the degree here
+    keeps every table a search reaches inside the byte range."""
+    if t.degree > MAX_PACKED_DEGREE:
+        raise TooLargeError(f"degree {t.degree} exceeds {MAX_PACKED_DEGREE}, the packed byte range")
     cells = bytearray(space.total_cells)
     for s, c in t.items():
-        if c > kernel.pure.MAX_COUNT:
-            raise TooLargeError(f"count {c} exceeds packed byte range")
         cells[state_index(s, space)] = c
     return bytes(cells)
 

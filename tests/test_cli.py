@@ -138,9 +138,30 @@ def test_usage_errors(capsys):
     assert "error" in out
 
 
-def test_threads_flag(capsys):
-    code, rep = run(capsys, "table1", "--threads", "2")
-    assert code == 0 and rep["result"]["all_match"] is True
+def test_component_degree_above_byte_range(tmp_path, capsys):
+    tpath = str(tmp_path / "t.json")
+    with open(tpath, "w") as fh:
+        json.dump({"d": [2], "cells": [[[1], 200], [[2], 100]]}, fh)
+    code, rep = run(capsys, "component", "--preset", "e-simple", "--start", tpath)
+    assert code == 1
+    assert "degree 300" in rep["error"]
+
+
+def test_table1_family_route_must_agree(monkeypatch, capsys):
+    import fiberwalk.cli as cli
+
+    row_of = cli._table1_row
+
+    def flipped(name):
+        row = row_of(name)
+        if name == "g48":
+            row["interior_point_family_route"] = not row["interior_point_family_route"]
+        return row
+
+    monkeypatch.setattr(cli, "_table1_row", flipped)
+    code, rep = run(capsys, "table1")
+    assert code == 1 and rep["result"]["all_match"] is False
+    assert [n for n, row in rep["result"]["rows"].items() if not row["match"]] == ["g48"]
 
 
 def test_check_margins_graph_file_with_family(tmp_path, capsys):

@@ -6,6 +6,7 @@ from fiberwalk.engine import (
     are_connected,
     connected_component,
     enumerate_fiber,
+    pack_table,
     verify_markov_basis,
 )
 from fiberwalk.errors import FiberTooLargeError, TooLargeError
@@ -196,3 +197,12 @@ def test_degree_enumeration_matches_multiset_count(c4):
         assert len(tables) == comb(16 + d - 1, d)
         assert len(set(tables)) == len(tables)
         assert all(sum(b) == d for b in tables)
+
+
+def test_pack_table_caps_degree_at_one_byte():
+    # every cell fits a byte, but a move could pile all 256 units into one
+    assert pack_table(pt(255, 0), N2) == bytes([255, 0])
+    with pytest.raises(TooLargeError):
+        pack_table(pt(200, 56), N2)
+    with pytest.raises(TooLargeError):
+        connected_component(pt(200, 100), JUMPS, N2)
