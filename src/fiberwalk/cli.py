@@ -28,25 +28,25 @@ from .engine import are_connected, connected_component, verify_markov_basis
 from .errors import FiberwalkError
 from .families import (
     K2NShape,
+    closed_form_family,
+    closed_form_primes,
     cycle_graph,
     cycle_markov_basis,
-    cycle_prime_witnesses,
     k2n_facet_inequalities,
     k2n_markov_basis,
-    k2n_prime_witnesses,
+    k2n_quartic_moves,
+    k2n_shape_of,
     pyramid_prime_count,
-    pyramid_prime_witnesses,
 )
 from .graphs import global_markov_moves, margin_map, margins
 from .k33 import k33_run, k33_search
 from .latin import latin_table, mols, verify_disconnection
 from .presets import PRESET_NAMES, Preset, resolve, table1_expected
-from .tables import Table
 
 MEMBER_DUMP_LIMIT = 10_000
 
 
-def _load_graph(args) -> Preset:
+def _load_model(args) -> Preset:
     if getattr(args, "preset", None):
         return resolve(args.preset, k2n_levels=tuple(getattr(args, "k2n_levels", ()) or ()))
     if getattr(args, "graph", None):
@@ -55,43 +55,21 @@ def _load_graph(args) -> Preset:
     raise FiberwalkError("need --graph FILE or --preset NAME")
 
 
+def _load_graph(args) -> Preset:
+    preset = _load_model(args)
+    if preset.graph is None:
+        raise FiberwalkError(f"{args.command} needs a graph; preset {preset.name} has none")
+    return preset
+
+
 def _load_moves(args, preset: Preset):
     if getattr(args, "moves", None):
         return jsonio.moves_from_json(jsonio.load(args.moves))
-    if getattr(args, "global_markov", False):
-        if preset.graph is None:
-            raise FiberwalkError(f"preset {preset.name} has no graph; supply --moves")
-        return global_markov_moves(preset.graph)
-    if preset.pinned_moves:
+    if preset.pinned_moves and not getattr(args, "global_markov", False):
         return preset.pinned_moves
-    if preset.graph is not None:
-        return global_markov_moves(preset.graph)
-    raise FiberwalkError("no move source: use --moves or --global-markov")
-
-
-def _as_k2n_shape(preset: Preset) -> K2NShape:
-    if preset.shape is not None:
-        return preset.shape
-    levels = preset.graph.levels.levels
-    if levels[:2] != (2, 2):
-        raise FiberwalkError("k2n family needs the first two vertices binary")
-    return K2NShape(levels[2:])
-
-
-def _witnesses_for(preset: Preset, family: str | None = None):
-    family = family or preset.family
-    if family == "cycle":
-        n = preset.cycle_n or preset.graph.n_vertices
-        return cycle_prime_witnesses(n)
-    if family == "k2n":
-        return k2n_prime_witnesses(_as_k2n_shape(preset))
-    if preset.name == "square-pyramid":
-        return pyramid_prime_witnesses(cycle_graph(4), cycle_prime_witnesses(4), 2)
-    raise FiberwalkError(f"no prime family wired for preset {preset.name!r}")
-
-
-def _table_json(t: Table, space) -> dict:
-    return jsonio.table_to_json(t, space)
+    if preset.graph is None:
+        raise FiberwalkError(f"preset {preset.name} has no graph; supply --moves")
+    return global_markov_moves(preset.graph)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +77,7 @@ def _table_json(t: Table, space) -> dict:
 
 
 def cmd_component(args):
-    preset = _load_graph(args)
+    preset = _load_model(args)
     if args.start:
         start, _ = jsonio.table_from_json(jsonio.load(args.start))
     elif preset.pinned_table is not None:
@@ -110,12 +88,12 @@ def cmd_component(args):
     rep = connected_component(start, moves, preset.space, node_cap=args.cap)
     result = {"size": rep.size, "truncated": rep.truncated}
     if rep.members is not None and (rep.size <= MEMBER_DUMP_LIMIT or args.dump):
-        result["members"] = [_table_json(t, preset.space) for t in rep.members]
+        result["members"] = [jsonio.table_to_json(t, preset.space) for t in rep.members]
     return result, 0
 
 
 def cmd_connected(args):
-    preset = _load_graph(args)
+    preset = _load_model(args)
     u, _ = jsonio.table_from_json(jsonio.load(args.u))
     v, _ = jsonio.table_from_json(jsonio.load(args.v))
     moves = _load_moves(args, preset)
@@ -131,12 +109,12 @@ def cmd_connected(args):
 
 def cmd_verify_basis(args):
     preset = _load_graph(args)
-    if preset.graph is None:
-        raise FiberwalkError("verify-basis needs a graph")
+    if args.family and args.family != closed_form_family(preset.graph):
+        raise FiberwalkError(f"--family {args.family} is not the graph's closed-form family")
     if args.family == "cycle":
         moves = cycle_markov_basis(preset.graph.n_vertices)
     elif args.family == "k2n":
-        moves = k2n_markov_basis(_as_k2n_shape(preset))
+        moves = k2n_markov_basis(k2n_shape_of(preset.graph))
     else:
         moves = _load_moves(args, preset)
     verdict = verify_markov_basis(moves, margin_map(preset.graph), args.max_degree)
@@ -149,17 +127,14 @@ def cmd_verify_basis(args):
     if verdict.witness:
         result["witness_degree"] = verdict.witness_degree
         result["witness"] = [
-            _table_json(verdict.witness[0], preset.space),
-            _table_json(verdict.witness[1], preset.space),
+            jsonio.table_to_json(verdict.witness[0], preset.space),
+            jsonio.table_to_json(verdict.witness[1], preset.space),
         ]
     return result, 0
 
 
 def cmd_facets(args):
-    preset = _load_graph(args)
-    if preset.graph is None:
-        raise FiberwalkError("facets needs a graph")
-    am = margin_map(preset.graph)
+    am = margin_map(_load_graph(args).graph)
     facets = cone_facets(am)
     return {
         "rank": integer_rank(am.columns()),
@@ -172,18 +147,15 @@ def cmd_facets(args):
 
 
 def cmd_check_margins(args):
-    preset = _load_graph(args)
-    am = margin_map(preset.graph)
-    family = getattr(args, "family", None)
-    witnesses = [w for w in _witnesses_for(preset, family) if not w.is_toric]
+    graph = _load_graph(args).graph
+    am = margin_map(graph)
+    witnesses = [w for w in closed_form_primes(graph) if not w.is_toric]
     mode = "positive-margins" if args.mode == "positive" else "interior-point"
     facets = None
     facet_source = None
     if mode == "interior-point":
         if args.facet_source == "family":
-            if (family or preset.family) != "k2n":
-                raise FiberwalkError("family facets exist only for k2n models")
-            facets = k2n_facet_inequalities(_as_k2n_shape(preset), am, include_mirrored=True)
+            facets = k2n_facet_inequalities(k2n_shape_of(graph), am, include_mirrored=True)
             facet_source = "family-inequalities(mirrored)"
         else:
             facets = cone_facets(am)
@@ -201,11 +173,9 @@ def cmd_check_margins(args):
 
 def cmd_witness_disconnect(args):
     preset = _load_graph(args)
-    if (getattr(args, "family", None) or preset.family) != "k2n":
-        raise FiberwalkError("witness-disconnect is wired for k2n models")
-    shape = _as_k2n_shape(preset)
+    shape = k2n_shape_of(preset.graph)
     am = margin_map(preset.graph)
-    witnesses = [w for w in k2n_prime_witnesses(shape) if not w.is_toric]
+    witnesses = [w for w in closed_form_primes(preset.graph) if not w.is_toric]
     if args.prime:
         try:
             w = next(x for x in witnesses if x.id == args.prime)
@@ -216,8 +186,6 @@ def cmd_witness_disconnect(args):
         if not y_ok:
             raise FiberwalkError("no strictly-positive witness; nothing to disconnect")
         w = y_ok[0]
-    from .families import k2n_quartic_moves
-
     f = find_disconnecting_move(k2n_quartic_moves(shape), w)
     u, v = build_disconnection_witness(w, f, args.c, am)
     moves = global_markov_moves(preset.graph)
@@ -231,8 +199,8 @@ def cmd_witness_disconnect(args):
         "component_size": comp.size,
         "truncated": comp.truncated,
         "disconnected": separated,
-        "u": _table_json(u, preset.space),
-        "v": _table_json(v, preset.space),
+        "u": jsonio.table_to_json(u, preset.space),
+        "v": jsonio.table_to_json(v, preset.space),
     }, 0
 
 
@@ -246,12 +214,12 @@ def cmd_family(args):
         return {"n_moves": len(moves), "moves": jsonio.moves_to_json(moves)}, 0
     if args.what == "primes":
         if args.graph == "cycle":
-            ws = cycle_prime_witnesses(args.n)
-            space = cycle_graph(args.n).levels
+            if args.n is None:
+                raise FiberwalkError("family primes --graph cycle needs --n")
+            graph = cycle_graph(args.n)
         else:
-            shape = K2NShape(tuple(args.levels))
-            ws = k2n_prime_witnesses(shape)
-            space = shape.space
+            graph = resolve("k2n", k2n_levels=tuple(args.levels or ())).graph
+        ws = closed_form_primes(graph)
         result = {"n_min_primes": len(ws)}
         if not args.count_only:
             result["primes"] = [
@@ -259,7 +227,7 @@ def cmd_family(args):
                     "id": w.id,
                     "origin": w.origin,
                     "n_variables": len(w.variables),
-                    "witness": _table_json(w.table, space) if w.table else None,
+                    "witness": jsonio.table_to_json(w.table, graph.levels) if w.table else None,
                 }
                 for w in ws
             ]
@@ -308,25 +276,27 @@ def cmd_k33(args):
             "on": args.on,
             "found": True,
             "pairs_tried": found["pairs_tried"],
-            "u_plus": _table_json(found["u_plus"], space),
-            "u_minus": _table_json(found["u_minus"], space),
-            "w": _table_json(found["w"], space),
+            "u_plus": jsonio.table_to_json(found["u_plus"], space),
+            "u_minus": jsonio.table_to_json(found["u_minus"], space),
+            "w": jsonio.table_to_json(found["w"], space),
         }, 0
     return k33_run(cap=args.cap), 0
 
 
 def _table1_row(name: str) -> dict:
-    preset = resolve(name)
-    am = margin_map(preset.graph)
-    if name == "square-pyramid":
-        witnesses = pyramid_prime_witnesses(cycle_graph(4), cycle_prime_witnesses(4), 2)
-        count = pyramid_prime_count(9, 2)
-        count_source = "layer-product formula (9^2), cross-checked by composition"
-        assert len(witnesses) == count
-    else:
-        witnesses = _witnesses_for(preset)
-        count = len(witnesses)
-        count_source = "enumeration + dedup"
+    graph = resolve(name).graph
+    am = margin_map(graph)
+    family = closed_form_family(graph)
+    witnesses = closed_form_primes(graph)
+    count = len(witnesses)
+    count_source = "enumeration + dedup"
+    if family == "pyramid":
+        base = len(closed_form_primes(cycle_graph(graph.n_vertices - 1)))
+        apex = graph.levels.levels[-1]
+        count = pyramid_prime_count(base, apex)
+        count_source = f"layer-product formula ({base}^{apex}), cross-checked by composition"
+        if count != len(witnesses):
+            raise FiberwalkError(f"{count} primes by formula but {len(witnesses)} composed")
     checkable = [w for w in witnesses if not w.is_toric]
     pos = check_margin_property(checkable, am, "positive-margins")
     facets = cone_facets(am)
@@ -339,8 +309,8 @@ def _table1_row(name: str) -> dict:
         "facet_source": "brute-force",
         "n_facets": len(facets),
     }
-    if preset.family == "k2n":
-        fam = k2n_facet_inequalities(preset.shape, am, include_mirrored=True)
+    if family == "k2n":
+        fam = k2n_facet_inequalities(k2n_shape_of(graph), am, include_mirrored=True)
         row["interior_point_family_route"] = check_margin_property(
             checkable, am, "interior-point", fam
         ).holds
@@ -420,16 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_parser("check-margins", help="margin-property verdict from prime witnesses")
     add_graph_opts(sp)
-    sp.add_argument("--family", choices=["cycle", "k2n"],
-                    help="witness family when --graph is a file (presets infer it)")
     sp.add_argument("--mode", choices=["positive", "interior"], required=True)
     sp.add_argument("--facet-source", choices=["brute", "family"], default="brute")
     sp.set_defaults(func=cmd_check_margins)
 
     sp = add_parser("witness-disconnect", help="padded pair splitting a positive fiber")
     add_graph_opts(sp)
-    sp.add_argument("--family", choices=["cycle", "k2n"],
-                    help="witness family when --graph is a file (presets infer it)")
     sp.add_argument("--prime", help="prime id (default: first strictly-positive witness)")
     sp.add_argument("--c", type=int, default=1, help="padding multiplier")
     sp.add_argument("--cap", type=int, default=1_000_000)

@@ -135,12 +135,6 @@ def _extreme_rays(constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         vals = [_dot(m, ray) for ray in rays]
         keep = [i for i, v in enumerate(vals) if v >= 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
-        if not neg:
-            bit = 1 << len(processed)
-            tight = [tight[i] | (bit if vals[i] == 0 else 0) for i in keep]
-            rays = [rays[i] for i in keep]
-            processed.append(ci)
-            continue
         new_rays = []
         new_tight = []
         pos = [i for i, v in enumerate(vals) if v > 0]

@@ -186,9 +186,10 @@ def are_connected(
 def enumerate_fiber(am: MarginMap, key: tuple[int, ...], size_cap: int = 100_000) -> frozenset[Table]:
     """All nonnegative tables with the given margin vector.
 
-    Backtracks over cells in index order, bounding each count by the
-    running residual margins and forcing residuals of completed rows to
-    zero.  Raises FiberTooLargeError beyond size_cap.
+    Backtracks over cells in index order with an explicit stack (so the
+    cell count is not bounded by the recursion limit), bounding each count
+    by the running residual margins and forcing residuals of completed
+    rows to zero.  Raises FiberTooLargeError beyond size_cap.
     """
     am.validate_key(tuple(key))
     space = am.space
@@ -204,27 +205,34 @@ def enumerate_fiber(am: MarginMap, key: tuple[int, ...], size_cap: int = 100_000
         finishing[i].append(r)
 
     out: list[Table] = []
-    counts = [0] * n_cells
-
-    def backtrack(i: int) -> None:
+    # counts[i] is the count placed at cell i, None before cell i is reached;
+    # counts run from the largest the residuals allow down to zero
+    counts: list[Optional[int]] = [None] * n_cells
+    i = 0
+    while i >= 0:
         if i == n_cells:
             out.append(Table([(state_at(j, space), c) for j, c in enumerate(counts) if c]))
             if len(out) > size_cap:
                 raise FiberTooLargeError(f"fiber exceeds the cap of {size_cap}")
-            return
+            i -= 1
+            continue
         rows = am.rows_of_cell(i)
-        hi = min(residual[r] for r in rows)
-        for c in range(hi, -1, -1):
-            counts[i] = c
-            for r in rows:
-                residual[r] -= c
-            if all(residual[r] == 0 for r in finishing[i]):
-                backtrack(i + 1)
+        c = counts[i]
+        if c is None:
+            c = min(residual[r] for r in rows)
+        else:
             for r in rows:
                 residual[r] += c
-        counts[i] = 0
-
-    backtrack(0)
+            c -= 1
+        if c < 0:
+            counts[i] = None
+            i -= 1
+            continue
+        counts[i] = c
+        for r in rows:
+            residual[r] -= c
+        if all(residual[r] == 0 for r in finishing[i]):
+            i += 1
     return frozenset(out)
 
 

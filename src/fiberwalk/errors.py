@@ -43,3 +43,11 @@ class MissingFacetsError(FiberwalkError):
 
 class InvalidWitnessMoveError(FiberwalkError):
     """The move offered for a disconnection witness touches the prime's variables."""
+
+
+class NoClosedFormError(FiberwalkError):
+    """The graph is not one the closed-form families are written for."""
+
+
+class InvalidInputError(FiberwalkError):
+    """An input file is missing, unreadable, or not in its documented JSON format."""

@@ -1,5 +1,5 @@
-"""Closed-form move and prime families for binary cycles and for complete
-bipartite graphs K_{2,m} with a binary first group.
+"""Closed-form move and prime families for binary cycles, complete bipartite
+graphs K_{2,m} with a binary first group, and cones over binary cycles.
 
 Everything here is generated directly from the defining patterns (block
 swaps on cyclic arcs, slice swaps on tensor coordinates) and then
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .cones import Functional
-from .errors import InvalidStateError, UnsupportedLevelsError
-from .graphs import LabeledGraph, MarginMap, margin_map
+from .errors import InvalidStateError, NoClosedFormError, UnsupportedLevelsError
+from .graphs import LabeledGraph, MarginMap, cone_graph, margin_map
 from .tables import Move, State, StateSpace, Table, dedup_moves
 
 
@@ -444,3 +444,44 @@ def pyramid_prime_witnesses(
     out.sort(key=lambda w: w.id)
     out.append(toric_marker())
     return out
+
+
+# ---------------------------------------------------------------------------
+# the family of a labelled graph
+
+
+def closed_form_family(g: LabeledGraph) -> Optional[str]:
+    """"cycle", "k2n" or "pyramid" when g is exactly `cycle_graph(n)`, a
+    `k2n_graph` or `cone_graph(cycle_graph(n), d0)`, else None.
+
+    Equality covers edges, levels and vertex labels: the witnesses name
+    cells by vertex, so a relabelled copy is not recognised.
+    """
+    n, levels = g.n_vertices, g.levels.levels
+    if n >= 3 and g == cycle_graph(n):
+        return "cycle"
+    if n >= 4 and g == k2n_graph(K2NShape(levels[2:])):
+        return "k2n"
+    if n >= 4 and g == cone_graph(cycle_graph(n - 1), levels[-1]):
+        return "pyramid"
+    return None
+
+
+def k2n_shape_of(g: LabeledGraph) -> K2NShape:
+    """The shape of a graph recognised as "k2n"; NoClosedFormError otherwise."""
+    if closed_form_family(g) != "k2n":
+        raise NoClosedFormError("the k2n formulas need a canonically labelled k2n graph")
+    return K2NShape(g.levels.levels[2:])
+
+
+def closed_form_primes(g: LabeledGraph) -> list[PrimeWitness]:
+    """The prime witnesses of g's closed-form family; NoClosedFormError if none."""
+    family = closed_form_family(g)
+    if family == "cycle":
+        return cycle_prime_witnesses(g.n_vertices)
+    if family == "k2n":
+        return k2n_prime_witnesses(K2NShape(g.levels.levels[2:]))
+    if family == "pyramid":
+        base = cycle_graph(g.n_vertices - 1)
+        return pyramid_prime_witnesses(base, closed_form_primes(base), g.levels.levels[-1])
+    raise NoClosedFormError("not a canonically labelled cycle, k2n graph or cone over a cycle")

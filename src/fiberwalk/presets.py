@@ -1,8 +1,8 @@
 """Named models: graphs, levels, and pinned companion data.
 
 Presets bundle everything an experiment needs: the graph (when one
-exists), optional pinned tables and move sets, and the module that owns
-the model's prime-witness family.
+exists) and optional pinned tables and move sets.  A model's prime family
+is worked out from its graph by `families.closed_form_family`.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ class Preset:
     name: str
     graph: Optional[LabeledGraph]
     space: StateSpace
-    family: Optional[str] = None  # "cycle" | "k2n" | None
-    shape: Optional[K2NShape] = None
-    cycle_n: Optional[int] = None
     pinned_table: Optional[Table] = None
     pinned_moves: list[Move] = field(default_factory=list)
     notes: str = ""
@@ -54,8 +51,6 @@ def _seth_c4_3() -> Preset:
         name="seth-c4-3",
         graph=g,
         space=g.levels,
-        family="cycle",
-        cycle_n=4,
         pinned_table=latin_table(g, mols(3)),
         notes="order-3 superposed squares on the 4-cycle; isolated in its fiber",
     )
@@ -65,23 +60,19 @@ def resolve(name: str, k2n_levels: Optional[tuple[int, ...]] = None) -> Preset:
     """Look up a preset by name; `k2n` takes the second-group levels."""
     key = name.lower().replace("_", "-")
     if key in ("c4", "c5", "c6"):
-        n = int(key[1])
-        g = cycle_graph(n)
-        return Preset(name=key, graph=g, space=g.levels, family="cycle", cycle_n=n)
+        g = cycle_graph(int(key[1]))
+        return Preset(name=key, graph=g, space=g.levels)
     if key in ("k22", "k23"):
-        shape = K2NShape((2, 2) if key == "k22" else (2, 2, 2))
-        g = k2n_graph(shape)
-        return Preset(name=key, graph=g, space=g.levels, family="k2n", shape=shape)
+        g = k2n_graph(K2NShape((2, 2) if key == "k22" else (2, 2, 2)))
+        return Preset(name=key, graph=g, space=g.levels)
     if key == "k2n":
         if not k2n_levels or len(k2n_levels) < 2:
             raise InvalidStateError("k2n preset needs the second-group levels (>= 2 of them)")
-        shape = K2NShape(tuple(k2n_levels))
-        g = k2n_graph(shape)
-        return Preset(name=f"k2n{k2n_levels}", graph=g, space=g.levels, family="k2n", shape=shape)
+        g = k2n_graph(K2NShape(tuple(k2n_levels)))
+        return Preset(name=f"k2n{k2n_levels}", graph=g, space=g.levels)
     if key == "g48":
-        shape = K2NShape((2, 4))
-        g = k2n_graph(shape)
-        return Preset(name="g48", graph=g, space=g.levels, family="k2n", shape=shape,
+        g = k2n_graph(K2NShape((2, 4)))
+        return Preset(name="g48", graph=g, space=g.levels,
                       notes="the five-vertex model equal to k22 with levels (2,2,2,4)")
     if key == "square-pyramid":
         g = cone_graph(cycle_graph(4), 2)

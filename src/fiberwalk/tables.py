@@ -66,10 +66,6 @@ class StateSpace:
             else:
                 return
 
-    def restrict(self, x: State, vertices: Iterable[int]) -> State:
-        """Project a state onto a set of vertices (1-based, ascending)."""
-        return tuple(x[v - 1] for v in sorted(vertices))
-
 
 def state_index(x: State, space: StateSpace) -> int:
     """Mixed-radix rank of a state, last coordinate fastest."""

@@ -1,11 +1,16 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from fiberwalk import jsonio
-from fiberwalk.cli import main
+from fiberwalk.cli import build_parser, main
 from fiberwalk.families import cycle_graph
+from fiberwalk.presets import resolve
 from fiberwalk.tables import Table
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -168,9 +173,7 @@ def test_check_margins_graph_file_with_family(tmp_path, capsys):
     g = cycle_graph(5)
     gpath = str(tmp_path / "c5.json")
     jsonio.dump(jsonio.graph_to_json(g), gpath)
-    code, rep = run(
-        capsys, "check-margins", "--graph", gpath, "--family", "cycle", "--mode", "positive"
-    )
+    code, rep = run(capsys, "check-margins", "--graph", gpath, "--mode", "positive")
     assert code == 0 and rep["result"]["holds"] is True
 
 
@@ -180,3 +183,120 @@ def test_k33_bounded_search_smoke(capsys):
     code, rep = run(capsys, "k33", "--search", "--max-pairs", "5", "--max-tables", "2000")
     assert code == 0
     assert rep["result"]["found"] is False
+
+
+def write_graph(tmp_path, name):
+    path = str(tmp_path / f"{name}.json")
+    jsonio.dump(jsonio.graph_to_json(resolve(name).graph), path)
+    return path
+
+
+@pytest.mark.parametrize("name", ["c4", "c5", "k23", "g48", "square-pyramid"])
+@pytest.mark.parametrize("mode", ["positive", "interior"])
+def test_check_margins_graph_file_matches_preset(tmp_path, capsys, name, mode):
+    gpath = write_graph(tmp_path, name)
+    code, by_preset = run(capsys, "check-margins", "--preset", name, "--mode", mode)
+    assert code == 0
+    code, by_file = run(capsys, "check-margins", "--graph", gpath, "--mode", mode)
+    assert code == 0 and by_file["result"] == by_preset["result"]
+
+
+@pytest.mark.parametrize("argv", [
+    # the 3-level 4-cycle has no closed-form primes (its interior table is isolated)
+    ["check-margins", "--preset", "seth-c4-3", "--mode", "interior"],
+    ["verify-basis", "--preset", "k23", "--family", "cycle", "--max-degree", "2"],
+    ["check-margins", "--preset", "c4", "--mode", "interior", "--facet-source", "family"],
+    ["witness-disconnect", "--preset", "c5"],
+])
+def test_family_must_be_the_graphs_own(capsys, argv):
+    code, rep = run(capsys, *argv)
+    assert code == 1 and "error" in rep and "result" not in rep
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-margins", "--preset", "k23", "--family", "cycle", "--mode", "positive"],
+    ["check-margins", "--graph", "c4.json", "--family", "k2n", "--mode", "positive"],
+    ["witness-disconnect", "--graph", "c4.json", "--family", "k2n"],
+])
+def test_family_option_removed(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_witness_disconnect_graph_file(tmp_path, capsys):
+    code, rep = run(capsys, "witness-disconnect", "--graph", write_graph(tmp_path, "k23"))
+    assert code == 0 and rep["result"]["disconnected"] is True
+    code, rep = run(capsys, "witness-disconnect", "--graph", write_graph(tmp_path, "c4"))
+    assert code == 1 and "error" in rep
+
+
+def test_relabelled_graph_file_has_no_family(tmp_path, capsys):
+    gpath = str(tmp_path / "c4-relabelled.json")
+    jsonio.dump({"vertices": 4, "d": [2, 2, 2, 2], "edges": [[1, 2], [2, 4], [4, 3], [3, 1]]},
+                gpath)
+    code, rep = run(capsys, "check-margins", "--graph", gpath, "--mode", "positive")
+    assert code == 1 and "error" in rep
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-margins", "--preset", "e-simple", "--mode", "positive"],
+    ["latin", "disconnect", "--preset", "e-simple", "--order", "3"],
+    ["verify-basis", "--preset", "e-simple", "--max-degree", "2"],
+    ["facets", "--preset", "e-simple"],
+    ["witness-disconnect", "--preset", "e-simple"],
+    ["family", "primes", "--graph", "cycle"],
+    ["family", "primes", "--graph", "k2n"],
+])
+def test_incomplete_input_is_an_error_envelope(capsys, argv):
+    code, rep = run(capsys, *argv)
+    assert code == 1 and "error" in rep
+
+
+@pytest.mark.parametrize("content, needle", [
+    (None, "cannot read"),
+    ("{not json", "not valid JSON"),
+    ("[1, 2]", "must be an object"),
+    ('{"d": [2], "cells": [[[1], "x"]]}', "integer"),
+    ('{"d": [2], "cells": [[[1], 2.7]]}', "integer"),
+], ids=["missing", "malformed", "list", "string-count", "fractional-count"])
+def test_bad_table_file_is_an_error_envelope(tmp_path, capsys, content, needle):
+    path = tmp_path / "start.json"
+    if content is not None:
+        path.write_text(content)
+    code, rep = run(capsys, "component", "--preset", "e-simple", "--start", str(path))
+    assert code == 1 and needle in rep["error"]
+
+
+@pytest.mark.parametrize("content, needle", [
+    ('{"move": []}', '"moves"'),
+    ("[[1, 2]]", "must be an object"),
+    ('[{"plus": [[[1], 2.0]], "minus": [[[2], 2]]}]', "integer"),
+], ids=["no-moves-key", "list-of-lists", "float-count"])
+def test_bad_moves_file_is_an_error_envelope(tmp_path, capsys, content, needle):
+    path = tmp_path / "moves.json"
+    path.write_text(content)
+    code, rep = run(capsys, "verify-basis", "--preset", "c4", "--moves", str(path),
+                    "--max-degree", "2")
+    assert code == 1 and needle in rep["error"]
+
+
+def test_bad_graph_file_is_an_error_envelope(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text('[{"vertices": 4}]')
+    code, rep = run(capsys, "facets", "--graph", str(path))
+    assert code == 1 and "must be an object" in rep["error"]
+
+
+def test_readme_command_lines_parse():
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv[1:] for argv in lines if argv and argv[0] == "fiberwalk"]
+    assert len(commands) >= 16
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: fiberwalk {shlex.join(argv)}")

@@ -164,6 +164,14 @@ def test_enumerate_fiber_seth_margins_contains_permuted_image():
     assert len(fib) >= 2
 
 
+def test_enumerate_fiber_beyond_recursion_limit():
+    from fiberwalk.families import cycle_graph
+
+    am = margin_map(cycle_graph(4, level=6))  # 1296 cells
+    t = Table({(1, 2, 3, 4): 1})
+    assert enumerate_fiber(am, margins(am, t)) == frozenset({t})
+
+
 def test_verify_markov_basis_c4(c4):
     am = margin_map(c4)
     assert verify_markov_basis(cycle_markov_basis(4), am, 4).passed

@@ -4,9 +4,11 @@ import random
 import pytest
 
 from fiberwalk.engine import connected_component
-from fiberwalk.errors import UnsupportedLevelsError
+from fiberwalk.errors import NoClosedFormError, UnsupportedLevelsError
 from fiberwalk.families import (
     K2NShape,
+    closed_form_family,
+    closed_form_primes,
     cycle_graph,
     cycle_markov_basis,
     cycle_prime_witnesses,
@@ -20,7 +22,8 @@ from fiberwalk.families import (
     pyramid_prime_count,
     pyramid_prime_witnesses,
 )
-from fiberwalk.graphs import global_markov_moves, margin_map, margins
+from fiberwalk.graphs import LabeledGraph, global_markov_moves, margin_map, margins
+from fiberwalk.presets import resolve
 from fiberwalk.tables import Move, Table
 
 
@@ -237,3 +240,34 @@ def test_witness_dedup_is_stable(k23_shape):
     b = [w.id for w in k2n_prime_witnesses(k23_shape)]
     assert a == b
     assert len(set(a)) == len(a)
+
+
+RELABELLED_C4 = LabeledGraph.build(4, [(1, 2), (2, 4), (4, 3), (3, 1)], [2] * 4)
+
+
+@pytest.mark.parametrize("graph, family", [
+    (resolve("c4").graph, "cycle"),
+    (resolve("c5").graph, "cycle"),
+    (resolve("c6").graph, "cycle"),
+    (resolve("k22").graph, "k2n"),
+    (resolve("k23").graph, "k2n"),
+    (resolve("g48").graph, "k2n"),
+    (resolve("k2n", k2n_levels=(3, 3)).graph, "k2n"),
+    (resolve("square-pyramid").graph, "pyramid"),
+    (resolve("k33").graph, None),
+    (resolve("g154").graph, None),
+    (resolve("seth-c4-3").graph, None),
+    (RELABELLED_C4, None),
+])
+def test_closed_form_family_from_the_labelled_graph(graph, family):
+    assert closed_form_family(graph) == family
+
+
+def test_closed_form_primes_dispatch(c4, k23_shape):
+    assert closed_form_primes(c4) == cycle_prime_witnesses(4)
+    assert closed_form_primes(k2n_graph(k23_shape)) == k2n_prime_witnesses(k23_shape)
+    pyramid = closed_form_primes(resolve("square-pyramid").graph)
+    assert pyramid == pyramid_prime_witnesses(c4, cycle_prime_witnesses(4), 2)
+    for graph in (RELABELLED_C4, resolve("seth-c4-3").graph):
+        with pytest.raises(NoClosedFormError):
+            closed_form_primes(graph)
