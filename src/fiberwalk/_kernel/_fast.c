@@ -6,6 +6,14 @@
    a new bytes object and edits a few bytes, so neighbour generation never
    touches a Python integer.
 
+   A move can apply only to a table that is nonzero on every cell it subtracts
+   from, so pack_moves also files each forward and each directed move under the
+   smallest such cell (per-cell CSR offsets; a move that subtracts nothing goes
+   in a last bucket that every table tries).  A scan marks the buckets of the
+   table's nonzero cells in a bitmap over the directed moves and applies the
+   marked moves lowest first: the results are those of trying every move, in
+   the same order.
+
    pack_moves rejects negative cells, and every call rejects a table shorter
    than the largest packed cell + 1, so no move reads or writes outside its
    table.  Moves keep the degree and engine.pack_table caps it at 255, so no
@@ -16,20 +24,32 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <stdint.h>
 
 typedef struct {
     Py_ssize_t cell;
     long count;
 } Entry;
 
+/* Directed moves d filed by the smallest cell their part d subtracts from:
+   bucket c is ids[start[c]:start[c + 1]] for c <= max_cell, and bucket
+   max_cell + 1 holds the moves that subtract nothing.  Each bucket is
+   ascending. */
+typedef struct {
+    Py_ssize_t *start;
+    Py_ssize_t *ids;
+} Index;
+
 /* Part 2k is the negative part of move k, part 2k + 1 its positive part;
-   part j is entries[off[j]:off[j + 1]]. */
+   part j is entries[off[j]:off[j + 1]].  Directed move d removes part d and
+   adds part d ^ 1, so `forward` indexes the even d and `directed` all d. */
 typedef struct {
     PyObject_HEAD
     Py_ssize_t n_moves;
     Py_ssize_t max_cell; /* -1 when no move has a cell */
     Py_ssize_t *off;
     Entry *entries;
+    Index forward, directed;
 } PackedMoves;
 
 static void
@@ -37,6 +57,10 @@ PackedMoves_dealloc(PackedMoves *pm)
 {
     PyMem_Free(pm->off);
     PyMem_Free(pm->entries);
+    PyMem_Free(pm->forward.start);
+    PyMem_Free(pm->forward.ids);
+    PyMem_Free(pm->directed.start);
+    PyMem_Free(pm->directed.ids);
     PyObject_Free(pm);
 }
 
@@ -77,6 +101,48 @@ move_part(PyObject *moves, Py_ssize_t j)
     return part;
 }
 
+/* The bucket of directed move d: the smallest cell part d subtracts from,
+   or max_cell + 1 when it subtracts from none. */
+static Py_ssize_t
+bucket_of(const PackedMoves *pm, Py_ssize_t d)
+{
+    Py_ssize_t key = pm->max_cell + 1;
+    const Entry *e;
+
+    for (e = pm->entries + pm->off[d]; e < pm->entries + pm->off[d + 1]; e++)
+        if (e->count > 0 && e->cell < key)
+            key = e->cell;
+    return key;
+}
+
+/* Counting sort of the directed moves 0, step, 2 * step, ... by bucket. */
+static int
+build_index(const PackedMoves *pm, Index *ix, Py_ssize_t step)
+{
+    Py_ssize_t n_buckets = pm->max_cell + 2, c, d, *fill;
+
+    ix->start = PyMem_New(Py_ssize_t, n_buckets + 1);
+    ix->ids = PyMem_New(Py_ssize_t, 2 * pm->n_moves / step);
+    fill = PyMem_New(Py_ssize_t, n_buckets);
+    if (ix->start == NULL || ix->ids == NULL || fill == NULL) {
+        PyMem_Free(fill);
+        PyErr_NoMemory();
+        return -1;
+    }
+    memset(fill, 0, n_buckets * sizeof(Py_ssize_t));
+    for (d = 0; d < 2 * pm->n_moves; d += step)
+        fill[bucket_of(pm, d)]++;
+    ix->start[0] = 0;
+    for (c = 0; c < n_buckets; c++) {
+        ix->start[c + 1] = ix->start[c] + fill[c];
+        fill[c] = ix->start[c];
+    }
+    for (d = 0; d < 2 * pm->n_moves; d += step)
+        ix->ids[fill[bucket_of(pm, d)]++] = d;
+    PyMem_Free(fill);
+    return 0;
+}
+
 static PyObject *
 pack_moves(PyObject *self, PyObject *moves)
 {
@@ -101,6 +167,7 @@ pack_moves(PyObject *self, PyObject *moves)
         goto error;
     pm->n_moves = n;
     pm->max_cell = -1;
+    pm->forward = pm->directed = (Index){NULL, NULL};
     pm->off = PyMem_New(Py_ssize_t, 2 * n + 1);
     pm->entries = PyMem_New(Entry, total);
     if (pm->off == NULL || pm->entries == NULL) {
@@ -130,6 +197,8 @@ pack_moves(PyObject *self, PyObject *moves)
         }
     }
     pm->off[2 * n] = e;
+    if (build_index(pm, &pm->forward, 2) < 0 || build_index(pm, &pm->directed, 1) < 0)
+        goto error;
     Py_DECREF(parts);
     Py_DECREF(seq);
     return (PyObject *)pm;
@@ -175,6 +244,64 @@ apply(const PackedMoves *pm, const char *t, Py_ssize_t n, Py_ssize_t d, PyObject
     return 1;
 }
 
+/* A set of directed moves: a bitmap over d, popped lowest first. */
+typedef struct {
+    uint64_t *bits;
+    Py_ssize_t n_words, w; /* w: no set bit lies below word w */
+} Candidates;
+
+static int
+candidates_init(Candidates *cs, const PackedMoves *pm)
+{
+    cs->n_words = (2 * pm->n_moves + 63) / 64;
+    cs->w = cs->n_words;
+    if ((cs->bits = PyMem_Calloc(cs->n_words, sizeof(uint64_t))) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
+}
+
+/* Adds the moves of ix that may apply to t: those filed under its nonzero
+   cells and those that subtract nothing. */
+static void
+candidates_mark(Candidates *cs, const PackedMoves *pm, const Index *ix, const char *t)
+{
+    Py_ssize_t c, i, d;
+
+    for (c = 0; c <= pm->max_cell + 1; c++) {
+        if (c <= pm->max_cell && t[c] == 0)
+            continue;
+        for (i = ix->start[c]; i < ix->start[c + 1]; i++) {
+            d = ix->ids[i];
+            cs->bits[d / 64] |= (uint64_t)1 << (d % 64);
+        }
+    }
+    cs->w = 0;
+}
+
+/* Removes and returns the lowest move of the set, or -1 when it is empty. */
+static Py_ssize_t
+candidates_pop(Candidates *cs)
+{
+    uint64_t word;
+    Py_ssize_t b = 0;
+
+    while (cs->w < cs->n_words && cs->bits[cs->w] == 0)
+        cs->w++;
+    if (cs->w == cs->n_words)
+        return -1;
+    word = cs->bits[cs->w];
+    cs->bits[cs->w] = word & (word - 1);
+#if defined(__GNUC__) || defined(__clang__)
+    b = __builtin_ctzll(word);
+#else
+    while (!(word >> b & 1))
+        b++;
+#endif
+    return cs->w * 64 + b;
+}
+
 /* Images of t under the forward moves, or under both orientations labelled
    (move index, forward?, image) when `both` is set. */
 static PyObject *
@@ -182,14 +309,19 @@ scan(PyObject *args, int both)
 {
     PyObject *t, *out, *nb, *item;
     PackedMoves *pm;
+    Candidates cs;
     Py_ssize_t d;
-    int r;
+    int r = 0;
 
-    if (!PyArg_ParseTuple(args, "SO!", &t, &PackedMovesType, &pm) || check_table(pm, t) < 0)
+    if (!PyArg_ParseTuple(args, "SO!", &t, &PackedMovesType, &pm) || check_table(pm, t) < 0
+        || candidates_init(&cs, pm) < 0)
         return NULL;
-    if ((out = PyList_New(0)) == NULL)
+    if ((out = PyList_New(0)) == NULL) {
+        PyMem_Free(cs.bits);
         return NULL;
-    for (d = 0; d < 2 * pm->n_moves; d += both ? 1 : 2) {
+    }
+    candidates_mark(&cs, pm, both ? &pm->directed : &pm->forward, PyBytes_AS_STRING(t));
+    while (r >= 0 && (d = candidates_pop(&cs)) >= 0) {
         r = apply(pm, PyBytes_AS_STRING(t), PyBytes_GET_SIZE(t), d, &nb);
         if (r > 0) {
             item = both ? Py_BuildValue("(nOO)", d / 2, d % 2 ? Py_False : Py_True, nb)
@@ -198,11 +330,10 @@ scan(PyObject *args, int both)
             r = item == NULL ? -1 : PyList_Append(out, item);
             Py_XDECREF(item);
         }
-        if (r < 0) {
-            Py_DECREF(out);
-            return NULL;
-        }
     }
+    PyMem_Free(cs.bits);
+    if (r < 0)
+        Py_CLEAR(out);
     return out;
 }
 
@@ -223,11 +354,12 @@ component(PyObject *self, PyObject *args)
 {
     PyObject *start, *visited, *frontier, *nxt = NULL, *nb, *result = NULL;
     PackedMoves *pm;
+    Candidates cs;
     Py_ssize_t cap, n, i, d;
     int truncated = 0, r;
 
     if (!PyArg_ParseTuple(args, "SO!n", &start, &PackedMovesType, &pm, &cap)
-        || check_table(pm, start) < 0)
+        || check_table(pm, start) < 0 || candidates_init(&cs, pm) < 0)
         return NULL;
     n = PyBytes_GET_SIZE(start);
     visited = PySet_New(NULL);
@@ -240,7 +372,8 @@ component(PyObject *self, PyObject *args)
             goto done;
         for (i = 0; i < PyList_GET_SIZE(frontier) && !truncated; i++) {
             const char *t = PyBytes_AS_STRING(PyList_GET_ITEM(frontier, i));
-            for (d = 0; d < 2 * pm->n_moves && !truncated; d++) {
+            candidates_mark(&cs, pm, &pm->directed, t);
+            while (!truncated && (d = candidates_pop(&cs)) >= 0) {
                 if ((r = apply(pm, t, n, d, &nb)) < 0)
                     goto done;
                 if (r == 0)
@@ -261,6 +394,7 @@ component(PyObject *self, PyObject *args)
     result = PyTuple_Pack(2, visited, truncated ? Py_True : Py_False);
 
 done:
+    PyMem_Free(cs.bits);
     Py_XDECREF(visited);
     Py_XDECREF(frontier);
     Py_XDECREF(nxt);

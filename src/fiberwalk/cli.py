@@ -379,8 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_parser("verify-basis", help="do the moves connect every fiber up to a degree?")
     add_graph_opts(sp)
-    sp.add_argument("--moves")
-    sp.add_argument("--family", choices=["cycle", "k2n"])
+    basis = sp.add_mutually_exclusive_group()
+    basis.add_argument("--moves")
+    basis.add_argument("--family", choices=["cycle", "k2n"])
     sp.add_argument("--max-degree", type=int, required=True)
     sp.set_defaults(func=cmd_verify_basis)
 

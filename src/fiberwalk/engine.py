@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -57,8 +58,13 @@ class ComponentReport:
     truncated: bool
     members: Optional[tuple[Table, ...]] = None  # canonical order; None above cap
 
+    @cached_property
+    def member_set(self) -> frozenset[Table]:
+        """The members as a set, built once; empty when they were not kept."""
+        return frozenset(self.members or ())
+
     def contains(self, t: Table) -> bool:
-        return self.members is not None and t in set(self.members)
+        return t in self.member_set
 
 
 def connected_component(
@@ -236,14 +242,26 @@ def enumerate_fiber(am: MarginMap, key: tuple[int, ...], size_cap: int = 100_000
     return frozenset(out)
 
 
-def _degree_tables(space: StateSpace, degree: int) -> Iterable[bytes]:
-    """Packed tables of exact degree d = multisets of d cells."""
-    n = space.total_cells
+def _degree_tables(am: MarginMap, degree: int) -> Iterable[tuple[bytes, int]]:
+    """Packed tables of exact degree d (multisets of d cells), each with its
+    margin key.
+
+    The key packs the margin vector into one integer, a field per row with
+    row 0 most significant.  The fields are wider than degree.bit_length(),
+    so no margin carries into the next field, and keys compare exactly as
+    the margin tuples do.
+    """
+    n = am.n_cols
+    width = degree.bit_length() + 1
+    top = am.n_rows - 1
+    weight = [sum(1 << (width * (top - r)) for r in am.rows_of_cell(i)) for i in range(n)]
     for combo in itertools.combinations_with_replacement(range(n), degree):
         cells = bytearray(n)
+        key = 0
         for i in combo:
             cells[i] += 1
-        yield bytes(cells)
+            key += weight[i]
+        yield bytes(cells), key
 
 
 @dataclass
@@ -301,16 +319,10 @@ def verify_markov_basis(
                     rx, ry = ry, rx
                 parent[ry] = rx
 
-        groups: dict[tuple[int, ...], list[bytes]] = {}
-        rows_of = am.rows_of_cell
-        for tb in _degree_tables(space, degree):
+        groups: dict[int, list[bytes]] = {}
+        for tb, key in _degree_tables(am, degree):
             parent[tb] = tb
-            marg = [0] * am.n_rows
-            for i, c in enumerate(tb):
-                if c:
-                    for r in rows_of(i):
-                        marg[r] += c
-            groups.setdefault(tuple(marg), []).append(tb)
+            groups.setdefault(key, []).append(tb)
         for tb in parent:
             for nb in kernel.forward_neighbors(tb, pm):
                 union(tb, nb)

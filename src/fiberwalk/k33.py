@@ -72,8 +72,8 @@ def k33_run(cap: int = 4096) -> dict:
     contains_goal = None
     path_len = None
     if not inconclusive:
-        disjoint = not (set(c_plus.members) & set(c_minus.members))
-        contains_goal = big_goal in set(c_big.members)
+        disjoint = c_plus.member_set.isdisjoint(c_minus.member_set)
+        contains_goal = c_big.contains(big_goal)
         if contains_goal:
             res = are_connected(big_start, big_goal, moves, g.levels, node_cap=cap)
             path_len = len(res.path)
@@ -120,7 +120,7 @@ def k33_search(
         comp = connected_component(u + pad, moves, space, node_cap=component_cap)
         if comp.truncated:
             return None
-        return (v + pad) not in set(comp.members)
+        return not comp.contains(v + pad)
 
     tried = 0
     for key in sorted(by_margin):

@@ -27,7 +27,6 @@ class Preset:
     space: StateSpace
     pinned_table: Optional[Table] = None
     pinned_moves: list[Move] = field(default_factory=list)
-    notes: str = ""
 
 
 def _e_simple() -> Preset:
@@ -41,7 +40,6 @@ def _e_simple() -> Preset:
         graph=None,
         space=space,
         pinned_moves=moves,
-        notes="two-cell lattice walk with jump sizes 2 and 3; no graph model",
     )
 
 
@@ -52,7 +50,6 @@ def _seth_c4_3() -> Preset:
         graph=g,
         space=g.levels,
         pinned_table=latin_table(g, mols(3)),
-        notes="order-3 superposed squares on the 4-cycle; isolated in its fiber",
     )
 
 
@@ -72,12 +69,10 @@ def resolve(name: str, k2n_levels: Optional[tuple[int, ...]] = None) -> Preset:
         return Preset(name=f"k2n{k2n_levels}", graph=g, space=g.levels)
     if key == "g48":
         g = k2n_graph(K2NShape((2, 4)))
-        return Preset(name="g48", graph=g, space=g.levels,
-                      notes="the five-vertex model equal to k22 with levels (2,2,2,4)")
+        return Preset(name="g48", graph=g, space=g.levels)
     if key == "square-pyramid":
         g = cone_graph(cycle_graph(4), 2)
-        return Preset(name="square-pyramid", graph=g, space=g.levels,
-                      notes="cone over the binary 4-cycle, apex level 2")
+        return Preset(name="square-pyramid", graph=g, space=g.levels)
     if key == "k33":
         g = k33_graph()
         return Preset(name="k33", graph=g, space=g.levels)
@@ -85,8 +80,7 @@ def resolve(name: str, k2n_levels: Optional[tuple[int, ...]] = None) -> Preset:
         g = k33_graph()
         edges = set(g.edges) - {(3, 6)}
         g154 = LabeledGraph.build(6, edges, [2] * 6)
-        return Preset(name="g154", graph=g154, space=g154.levels,
-                      notes="the six-vertex bipartite graph minus one edge")
+        return Preset(name="g154", graph=g154, space=g154.levels)
     if key == "seth-c4-3":
         return _seth_c4_3()
     if key == "e-simple":

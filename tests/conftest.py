@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from fiberwalk.families import K2NShape, cycle_graph, k2n_graph
 from fiberwalk.graphs import LabeledGraph
+
+# property tests draw the same examples on every run and never time out
+settings.register_profile("fiberwalk", derandomize=True, deadline=None)
+settings.load_profile("fiberwalk")
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -300,3 +301,31 @@ def test_readme_command_lines_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: fiberwalk {shlex.join(argv)}")
+
+
+def test_verify_basis_family_and_moves_are_exclusive(tmp_path, capsys):
+    mpath = str(tmp_path / "empty.json")
+    jsonio.dump([], mpath)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-basis", "--preset", "c4", "--family", "cycle", "--moves", mpath,
+              "--max-degree", "2"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+    code, rep = run(capsys, "verify-basis", "--preset", "c4", "--moves", mpath,
+                    "--max-degree", "2")
+    assert code == 0 and rep["result"]["n_moves"] == 0 and rep["result"]["passed"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "cycle-basis", "9"],
+    ["family", "primes", "--graph", "cycle", "--n", "9", "--count-only"],
+])
+def test_cycle_family_above_the_cap_is_refused_at_once(capsys, argv):
+    from fiberwalk.families import MAX_CYCLE_N
+
+    assert MAX_CYCLE_N == 8
+    t0 = time.perf_counter()
+    code, rep = run(capsys, *argv)
+    # generating the n = 9 families takes seconds; refusing them takes none
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and "n = 8" in rep["error"]

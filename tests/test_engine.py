@@ -198,13 +198,22 @@ def test_verify_markov_basis_budget():
 def test_degree_enumeration_matches_multiset_count(c4):
     from math import comb
 
-    from fiberwalk.engine import _degree_tables
+    from fiberwalk.engine import _degree_tables, unpack_table
 
-    for d in (1, 2, 3):
-        tables = list(_degree_tables(c4.levels, d))
+    am = margin_map(c4)
+    for d in (1, 2, 3, 4):
+        pairs = list(_degree_tables(am, d))
+        tables = [b for b, _ in pairs]
         assert len(tables) == comb(16 + d - 1, d)
         assert len(set(tables)) == len(tables)
         assert all(sum(b) == d for b in tables)
+        # one key per margin tuple, ordered exactly as the tuples are
+        tuples = {}
+        for b, key in pairs:
+            marg = margins(am, unpack_table(b, c4.levels))
+            assert tuples.setdefault(key, marg) == marg
+        assert len(set(tuples.values())) == len(tuples)
+        assert [tuples[k] for k in sorted(tuples)] == sorted(tuples.values())
 
 
 def test_pack_table_caps_degree_at_one_byte():

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from fiberwalk.engine import connected_component
-from fiberwalk.errors import NoClosedFormError, UnsupportedLevelsError
+from fiberwalk.errors import NoClosedFormError, TooLargeError, UnsupportedLevelsError
 from fiberwalk.families import (
+    MAX_CYCLE_N,
     K2NShape,
     closed_form_family,
     closed_form_primes,
@@ -22,7 +23,7 @@ from fiberwalk.families import (
     pyramid_prime_count,
     pyramid_prime_witnesses,
 )
-from fiberwalk.graphs import LabeledGraph, global_markov_moves, margin_map, margins
+from fiberwalk.graphs import LabeledGraph, cone_graph, global_markov_moves, margin_map, margins
 from fiberwalk.presets import resolve
 from fiberwalk.tables import Move, Table
 
@@ -271,3 +272,13 @@ def test_closed_form_primes_dispatch(c4, k23_shape):
     for graph in (RELABELLED_C4, resolve("seth-c4-3").graph):
         with pytest.raises(NoClosedFormError):
             closed_form_primes(graph)
+
+
+def test_cycle_families_refuse_cycles_above_the_cap():
+    n = MAX_CYCLE_N + 1
+    for build in (cycle_quadratic_moves, cycle_quartic_moves, cycle_markov_basis,
+                  cycle_prime_witnesses):
+        with pytest.raises(TooLargeError):
+            build(n)
+    with pytest.raises(TooLargeError):
+        closed_form_primes(cone_graph(cycle_graph(n), 2))

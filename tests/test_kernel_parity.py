@@ -1,8 +1,11 @@
-"""The compiled kernel must replicate the pure kernel bit for bit.
+"""The compiled kernel must replicate the pure kernel bit for bit, and both
+must give what trying every move in order gives.
 
-The module under test is built from the current `_fast.c` into a temporary
-directory, so these tests never run on a stale build.  They skip only when no
-C compiler is found.
+The compiled module under test is built from the current `_fast.c` into a
+temporary directory, so these tests never run on a stale build.  They skip
+only when no C compiler is found.  Both kernels try only the moves their
+support index files under a table's nonzero cells, so the property tests at
+the end compare them with a full scan written here.
 """
 
 import importlib.util
@@ -11,9 +14,12 @@ import random
 import shlex
 import shutil
 import sysconfig
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fiberwalk
 from fiberwalk._kernel import pure
@@ -136,3 +142,94 @@ def test_inplace_build_is_current():
         assert int(built.stat().st_mtime) >= int(source.stat().st_mtime), (
             f"{built.name} is older than _fast.c; rerun `python setup.py build_ext --inplace`"
         )
+
+
+# ---------------------------------------------------------------------------
+# both kernels against a full scan over random packed move sets
+
+
+@pytest.fixture(scope="module", params=["pure", "fast"])
+def kernel(request):
+    return pure if request.param == "pure" else request.getfixturevalue("fast")
+
+
+def full_scan_apply(t, sub, add):
+    if any(t[i] < c for i, c in sub):
+        return None
+    out = bytearray(t)
+    for i, c in sub:
+        out[i] -= c
+    for i, c in add:
+        out[i] += c
+    return bytes(out)
+
+
+def full_scan_signed(t, moves):
+    out = []
+    for k, (minus, plus) in enumerate(moves):
+        for fwd, sub, add in ((True, minus, plus), (False, plus, minus)):
+            nb = full_scan_apply(t, sub, add)
+            if nb is not None:
+                out.append((k, fwd, nb))
+    return out
+
+
+def full_scan_component(start, moves, cap):
+    visited, frontier = {start}, [start]
+    while frontier:
+        nxt = []
+        for t in sorted(frontier):
+            for _, _, nb in full_scan_signed(t, moves):
+                if nb not in visited:
+                    if len(visited) >= cap:
+                        return visited, True
+                    visited.add(nb)
+                    nxt.append(nb)
+        frontier = nxt
+    return visited, False
+
+
+@st.composite
+def packed_cases(draw):
+    """Degree-keeping moves over a few cells, and tables over those cells.
+
+    A part may hold a cell more than once over (count > 1), may share cells
+    with the other part, may carry a zero count, and may be empty (a move
+    that subtracts nothing applies to every table).
+    """
+    n_cells = draw(st.integers(1, 7))
+    cell = st.integers(0, n_cells - 1)
+    moves = []
+    for _ in range(draw(st.integers(0, 14))):
+        minus = Counter(draw(st.lists(cell, max_size=4)))
+        degree = sum(minus.values())
+        plus = Counter(draw(st.lists(cell, min_size=degree, max_size=degree)))
+        free = [c for c in range(n_cells) if c not in minus]
+        if free and draw(st.booleans()):
+            minus[draw(st.sampled_from(free))] = 0
+        moves.append((
+            tuple(draw(st.permutations(sorted(minus.items())))),
+            tuple(draw(st.permutations(sorted(plus.items())))),
+        ))
+    table = st.lists(st.integers(0, 3), min_size=n_cells, max_size=n_cells).map(bytes)
+    tables = draw(st.lists(table, min_size=1, max_size=6))
+    return moves, tables
+
+
+@given(packed_cases())
+def test_neighbors_match_full_scan(kernel, case):
+    moves, tables = case
+    pm = kernel.pack_moves(moves)
+    assert len(pm) == len(moves)
+    for t in tables:
+        signed = full_scan_signed(t, moves)
+        assert kernel.neighbors_signed(t, pm) == signed
+        assert kernel.forward_neighbors(t, pm) == [nb for _, fwd, nb in signed if fwd]
+
+
+@given(packed_cases(), st.integers(1, 300))
+def test_component_matches_full_scan(kernel, case, cap):
+    moves, tables = case
+    pm = kernel.pack_moves(moves)
+    for t in tables[:2]:
+        assert kernel.component(t, pm, cap) == full_scan_component(t, moves, cap)
