@@ -2,10 +2,13 @@
 
 Every subcommand emits one JSON envelope on stdout:
 
-    {"experiment": ..., "params": ..., "result": ..., "elapsed_ms": ...}
+    {"experiment": ..., "params": ..., "result": ..., "elapsed_ms": ...,
+     "kernel_backend": ..., "version": ...}
 
-Exit codes: 0 success (and all pinned expectations matched), 1 computation
-or mismatch error, 2 usage error.
+An error envelope holds "error" in place of "result"; both name the kernel
+backend that ran ("fast" or "pure") and the package version.  Exit codes:
+0 success (and all pinned expectations matched), 1 computation or mismatch
+error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -15,13 +18,12 @@ import json
 import sys
 import time
 
-from . import jsonio
+from . import __version__, jsonio, kernel_backend
 from .cones import (
     build_disconnection_witness,
     check_margin_property,
     cone_facets,
     find_disconnecting_move,
-    integer_rank,
     is_strictly_positive,
 )
 from .engine import are_connected, connected_component, verify_markov_basis
@@ -137,7 +139,7 @@ def cmd_facets(args):
     am = margin_map(_load_graph(args).graph)
     facets = cone_facets(am)
     return {
-        "rank": integer_rank(am.columns()),
+        "rank": am.rank,
         "n_rows": am.n_rows,
         "n_cols": am.n_cols,
         "row_labels": [am.row_label(i) for i in range(am.n_rows)],
@@ -452,23 +454,17 @@ def main(argv=None) -> int:
     params = {
         k: v for k, v in vars(args).items() if k not in ("func", "json") and v is not None
     }
-    try:
-        result, code = args.func(args)
-    except FiberwalkError as exc:
-        envelope = {
-            "experiment": args.command,
-            "params": params,
-            "error": str(exc),
-            "elapsed_ms": int((time.time() - t0) * 1000),
-        }
-        print(json.dumps(envelope, indent=2, sort_keys=True))
-        return 1
     envelope = {
         "experiment": args.command,
         "params": params,
-        "result": result,
-        "elapsed_ms": int((time.time() - t0) * 1000),
+        "kernel_backend": kernel_backend,
+        "version": __version__,
     }
+    try:
+        envelope["result"], code = args.func(args)
+    except FiberwalkError as exc:
+        envelope["error"], code = str(exc), 1
+    envelope["elapsed_ms"] = int((time.time() - t0) * 1000)
     text = json.dumps(envelope, indent=2, sort_keys=True)
     print(text)
     out = getattr(args, "json", None)

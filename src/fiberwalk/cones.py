@@ -2,10 +2,14 @@
 
 Facet enumeration works in the span of the matrix columns: a basis of the
 span turns the polar cone into a full-dimensional pointed cone in rank-many
-coordinates, whose extreme rays (found by double description with the
-combinatorial adjacency test, all in exact integer arithmetic) are the
-facet normals.  Margin-property verdicts evaluate prime-witness monomials
-against those functionals.
+coordinates, whose extreme rays are the facet normals.  They are found by
+double description in exact integer arithmetic, inserting constraints in
+input order.  Two rays are adjacent when no third ray is tight on all of
+their common tight constraints (the combinatorial test of Fukuda and
+Prodon); the test runs on bitsets, one per constraint over the ray
+indices, and looks only at the constraints of the common set.
+Margin-property verdicts evaluate prime-witness monomials against those
+functionals.
 """
 
 from __future__ import annotations
@@ -110,9 +114,15 @@ def _extreme_rays(constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Extreme rays of {z : Mz >= 0} for full-rank M (pointed cone).
 
     Double description: initialize from an invertible constraint subset,
-    insert the remaining constraints one at a time, pairing adjacent
-    positive/negative rays.  Adjacency is the combinatorial test (no third
-    ray's tight set contains the common tight set).
+    insert the remaining constraints one at a time (basis first, then input
+    order), pairing adjacent positive/negative rays.  Adjacency is the
+    combinatorial test: no third ray is tight on every constraint of the
+    pair's common tight set.  Each insertion transposes the rays' tight
+    masks into one bitset over ray indices per processed constraint; a pair
+    whose common set has fewer than r - 2 constraints cannot span a 2-face
+    and is dropped at once, otherwise the bitsets of its common set are
+    ANDed until only the pair itself is left (adjacent) or the set runs out
+    (not adjacent).
     """
     r = len(constraints[0])
     base_idx = _independent_subset(constraints)
@@ -130,6 +140,7 @@ def _extreme_rays(constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
                 mask |= 1 << pos
         tight.append(mask)
 
+    need = r - 2  # an adjacent pair spans a 2-face: its common set has rank r - 2
     for ci in order[r:]:
         m = constraints[ci]
         vals = [_dot(m, ray) for ray in rays]
@@ -138,18 +149,36 @@ def _extreme_rays(constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         new_rays = []
         new_tight = []
         pos = [i for i, v in enumerate(vals) if v > 0]
+        # zero[c]: bitset of the rays tight on processed constraint c
+        zero = [0] * len(processed)
+        for i, t in enumerate(tight):
+            bit_i = 1 << i
+            while t:
+                low = t & -t
+                zero[low.bit_length() - 1] |= bit_i
+                t ^= low
+        everyone = (1 << len(rays)) - 1
+        neg_tight = [(im, tight[im]) for im in neg]
         for ip in pos:
-            for im in neg:
-                common = tight[ip] & tight[im]
-                if any(
-                    k not in (ip, im) and (tight[k] & common) == common
-                    for k in range(len(rays))
-                ):
+            tight_p = tight[ip]
+            bit_p = 1 << ip
+            for im, common in [
+                (im, tight_p & t) for im, t in neg_tight if (tight_p & t).bit_count() >= need
+            ]:
+                pair = bit_p | (1 << im)
+                rest = everyone
+                left = common
+                while left and rest != pair:
+                    low = left & -left
+                    rest &= zero[low.bit_length() - 1]
+                    left ^= low
+                if rest != pair:
                     continue
                 vp, vm = vals[ip], vals[im]
                 ray = _reduce(tuple(vp * b - vm * a for a, b in zip(rays[ip], rays[im])))
                 new_rays.append(ray)
                 new_tight.append(common)
+        del zero
         bit = 1 << len(processed)
         rays = [rays[i] for i in keep] + new_rays
         tight = [tight[i] | (bit if vals[i] == 0 else 0) for i in keep] + [
@@ -159,26 +188,33 @@ def _extreme_rays(constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return rays
 
 
-def facets_of_columns(columns: list[tuple[int, ...]]) -> list[Functional]:
+def facets_of_columns(
+    columns: list[tuple[int, ...]], basis_idx: Optional[Sequence[int]] = None
+) -> list[Functional]:
     """Facet normals of the cone generated by integer column vectors.
 
     Complete and irredundant; normals are primitive, evaluate >= 0 on every
     column, and come in a deterministic order.  Cones of rank <= 1 (a ray
-    or the origin) have no facets and yield the empty list.
+    or the origin) have no facets and yield the empty list.  `basis_idx`
+    passes the indices `_independent_subset(columns)` would pick (as
+    `MarginMap.column_basis` holds them), so a caller that has them does not
+    eliminate twice.
     """
-    cols = [tuple(c) for c in columns if any(c)]
-    if len(cols) > MAX_FACET_COLUMNS:
-        raise TooLargeError(f"{len(cols)} columns exceed the budget of {MAX_FACET_COLUMNS}")
-    if not cols:
+    cols = [tuple(c) for c in columns]
+    nonzero = [c for c in cols if any(c)]
+    if len(nonzero) > MAX_FACET_COLUMNS:
+        raise TooLargeError(f"{len(nonzero)} columns exceed the budget of {MAX_FACET_COLUMNS}")
+    if not nonzero:
         return []
-    basis_idx = _independent_subset(cols)
+    if basis_idx is None:
+        basis_idx = _independent_subset(cols)
     r = len(basis_idx)
     if r > MAX_FACET_RANK:
         raise TooLargeError(f"rank {r} exceeds the budget of {MAX_FACET_RANK}")
     if r <= 1:
         return []
     basis = [cols[i] for i in basis_idx]
-    m_rows = [tuple(_dot(b, c) for b in basis) for c in cols]
+    m_rows = [tuple(_dot(b, c) for b in basis) for c in nonzero]
     rays = _extreme_rays(m_rows)
     normals = set()
     for z in rays:
@@ -189,7 +225,7 @@ def facets_of_columns(columns: list[tuple[int, ...]]) -> list[Functional]:
 
 def cone_facets(am: MarginMap) -> list[Functional]:
     """Facets of the marginal cone (generated by the matrix columns)."""
-    return facets_of_columns(am.columns())
+    return facets_of_columns(am.columns(), am.column_basis)
 
 
 def is_strictly_positive(y: Sequence[int]) -> bool:

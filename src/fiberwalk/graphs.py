@@ -273,6 +273,21 @@ class MarginMap:
             cols.append(tuple(col))
         return cols
 
+    @cached_property
+    def column_basis(self) -> tuple[int, ...]:
+        """Cell indices of a maximal independent set of columns.
+
+        Picked greedily in cell order by the integer elimination of `cones`,
+        once per map; its length is the rank of the marginal cone.
+        """
+        from .cones import _independent_subset  # cones imports this module
+
+        return tuple(_independent_subset(self.columns()))
+
+    @property
+    def rank(self) -> int:
+        return len(self.column_basis)
+
     def margins(self, t: Table) -> tuple[int, ...]:
         out = [0] * self.n_rows
         for s, c in t.items():

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cones import MAX_FACET_RANK, cone_facets, integer_rank, is_relative_interior
+from .cones import MAX_FACET_COLUMNS, MAX_FACET_RANK, cone_facets, is_relative_interior
 from .errors import InvalidStateError, UnsupportedLevelsError
 from .graphs import (
     LabeledGraph,
@@ -215,8 +215,7 @@ def verify_disconnection(g: LabeledGraph, t: Table, node_cap: int = 100_000) -> 
     moves = global_markov_moves(g)
     comp = connected_component(t, moves, g.levels, node_cap=node_cap, keep_members=False)
 
-    rank = integer_rank(am.columns())
-    if rank <= MAX_FACET_RANK and am.n_cols <= 128:
+    if am.n_cols <= MAX_FACET_COLUMNS and am.rank <= MAX_FACET_RANK:
         interior = is_relative_interior(am, y, cone_facets(am))
         method = "facets"
     elif _uniform_mixture_certificate(am, y, t.degree):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import fiberwalk
 from fiberwalk import jsonio
 from fiberwalk.cli import build_parser, main
 from fiberwalk.families import cycle_graph
@@ -33,6 +34,20 @@ def test_component_preset_and_files(tmp_path, capsys):
     assert rep["experiment"] == "component"
     assert rep["result"]["size"] == 2 and rep["result"]["truncated"] is False
     assert len(rep["result"]["members"]) == 2
+
+
+@pytest.mark.parametrize("argv, exit_code, body", [
+    (["facets", "--preset", "c4"], 0, "result"),
+    (["facets", "--preset", "e-simple"], 1, "error"),
+])
+def test_envelope_names_kernel_and_version(tmp_path, capsys, argv, exit_code, body):
+    out = tmp_path / "report.json"
+    code, rep = run(capsys, *argv, "--json", str(out))
+    assert code == exit_code and body in rep
+    assert rep["kernel_backend"] == fiberwalk.kernel_backend
+    assert rep["kernel_backend"] in ("fast", "pure")
+    assert rep["version"] == fiberwalk.__version__
+    assert json.loads(out.read_text()) == rep
 
 
 def test_component_seth_preset(capsys):

@@ -1,6 +1,13 @@
+import hashlib
+import itertools
+import json
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiberwalk.cones import (
     Functional,
@@ -22,6 +29,7 @@ from fiberwalk.families import (
     k2n_quartic_moves,
 )
 from fiberwalk.graphs import margin_map, margins
+from fiberwalk.presets import resolve
 from fiberwalk.tables import Move, Table
 
 
@@ -37,6 +45,118 @@ def test_facets_single_ray_empty():
 def test_facets_column_budget():
     with pytest.raises(TooLargeError):
         facets_of_columns([(1, i) for i in range(200)])
+
+
+# facet count and sha256 of the sorted facet list (compact JSON) per preset:
+# facet enumeration must reproduce these lists byte for byte
+PINNED_FACETS = {
+    "c4": (24, "897b0a2a029422a685ff2fd97699731c61cfe0846b80e0887d630c4ab79a4b16"),
+    "c5": (36, "b5bdee14eaf1b7f8149f83122d536c4717975347b4f7dbfa67bf89cea0e39503"),
+    "k23": (48, "34b49341276cb3e0d3f952d3dde67290fad12165302ea228d4fb431dfd491e00"),
+    "g48": (80, "78457ba660f9c89956506f7c1d00106f81214ee28476ad6772239bf396eddad7"),
+    "square-pyramid": (48, "ceedfbe0cee12adcd79bc7c33a3c7e8f28ada2690cc0ea903d546211acf1e112"),
+    "seth-c4-3": (1116, "eab7f6d03425eba1f0cae2d9ab82f1e653bcc21c8315ff48cb8d5f906c288b68"),
+    "k33": (684, "7e6e2d4a6b46bda7333fc9d8f12bac8163e3b9690bc0b193e83c5fd68fd49c0f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FACETS))
+def test_preset_facet_lists_are_pinned(name):
+    facets = cone_facets(margin_map(resolve(name).graph))
+    coeffs = [f.coeffs for f in facets]
+    assert coeffs == sorted(coeffs)
+    blob = json.dumps(coeffs, separators=(",", ":")).encode()
+    assert (len(facets), hashlib.sha256(blob).hexdigest()) == PINNED_FACETS[name]
+
+
+def _rref(rows, n):
+    """Reduced row echelon form over the rationals: (rows, pivot columns)."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(n):
+        piv = next((i for i in range(len(pivots), len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[piv] = rows[piv], rows[top]
+        rows[top] = [x / rows[top][col] for x in rows[top]]
+        for i in range(len(rows)):
+            if i != top and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[top])]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def _primitive(vec):
+    den = 1
+    for x in vec:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in vec]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    return tuple(x // g for x in ints)
+
+
+def brute_force_facets(cols):
+    """Facet normals from every (r-1)-subset of the columns, in their span."""
+    d = len(cols[0])
+    basis = []
+    for c in cols:
+        if len(_rref(basis + [c], d)[1]) > len(basis):
+            basis.append(c)
+    r = len(basis)
+    if r <= 1:
+        return []  # a ray, a line or the origin: no facets by convention
+    normals = set()
+    for sub in itertools.combinations(cols, r - 1):
+        # h = sum z_k basis_k with h . s = 0 for every s in the subset
+        eqs = [[sum(a * b for a, b in zip(bk, s)) for bk in basis] for s in sub]
+        red, pivots = _rref(eqs, r)
+        if len(pivots) != r - 1:
+            continue
+        free = next(k for k in range(r) if k not in pivots)
+        z = [Fraction(0)] * r
+        z[free] = Fraction(1)
+        for row, p in zip(red, pivots):
+            z[p] = -row[free]
+        h = _primitive([sum(zk * bk[i] for zk, bk in zip(z, basis)) for i in range(d)])
+        vals = [sum(a * b for a, b in zip(h, c)) for c in cols]
+        if all(v <= 0 for v in vals):
+            h, vals = tuple(-x for x in h), [-v for v in vals]
+        if all(v >= 0 for v in vals) and any(vals):
+            normals.add(h)
+    return sorted(normals)
+
+
+@st.composite
+def column_sets(draw):
+    """<= 8 integer columns of dimension <= 5 whose span has rank <= k.
+
+    Columns are combinations of k generators, mostly with nonnegative
+    coefficients (pointed cones), plus zero and duplicate columns.
+    """
+    d = draw(st.integers(2, 5))
+    k = draw(st.integers(2, d))
+    gens = draw(st.lists(st.lists(st.integers(-2, 3), min_size=d, max_size=d),
+                         min_size=k, max_size=k))
+    low = draw(st.sampled_from([0, 0, 0, -1]))
+    coefs = draw(st.lists(st.lists(st.integers(low, 2), min_size=k, max_size=k),
+                          min_size=2, max_size=8))
+    cols = [tuple(sum(a * g[i] for a, g in zip(cs, gens)) for i in range(d)) for cs in coefs]
+    extra = draw(st.lists(st.sampled_from(cols + [(0,) * d]), max_size=2))
+    return (cols + extra)[:8]
+
+
+@settings(max_examples=300)
+@given(column_sets(), st.randoms(use_true_random=False))
+def test_facets_match_brute_force(cols, rng):
+    got = [f.coeffs for f in facets_of_columns(cols)]
+    assert got == brute_force_facets(cols)
+    shuffled = cols[:]
+    rng.shuffle(shuffled)
+    assert [f.coeffs for f in facets_of_columns(shuffled)] == got
 
 
 def test_facet_exactness_on_preset_cones(c4, c5, k23):
