@@ -1,6 +1,7 @@
 """The `fiberwalk` command-line interface.
 
-Every subcommand emits one JSON envelope on stdout:
+Every subcommand emits one JSON envelope on stdout, as one compact line
+(`--json FILE` gets the same text):
 
     {"experiment": ..., "params": ..., "result": ..., "elapsed_ms": ...,
      "kernel_backend": ..., "version": ...}
@@ -8,7 +9,7 @@ Every subcommand emits one JSON envelope on stdout:
 An error envelope holds "error" in place of "result"; both name the kernel
 backend that ran ("fast" or "pure") and the package version.  Exit codes:
 0 success (and all pinned expectations matched), 1 computation or mismatch
-error, 2 usage error.
+error, 2 usage error; a reader that closes stdout early does not change it.
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ def cmd_component(args):
     moves = _load_moves(args, preset)
     rep = connected_component(start, moves, preset.space, node_cap=args.cap)
     result = {"size": rep.size, "truncated": rep.truncated}
-    if rep.members is not None and (rep.size <= MEMBER_DUMP_LIMIT or args.dump):
-        result["members"] = [jsonio.table_to_json(t, preset.space) for t in rep.members]
+    if rep.packed is not None and (rep.size <= MEMBER_DUMP_LIMIT or args.dump):
+        result["members"] = [jsonio.packed_table_to_json(b, preset.space) for b in rep.packed]
     return result, 0
 
 
@@ -340,6 +341,13 @@ def cmd_table1(args):
 # ---------------------------------------------------------------------------
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fiberwalk",
@@ -435,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--search", action="store_true", help="re-search the witness (slow)")
     sp.add_argument("--on", choices=["k33", "g154"], default="k33",
                     help="model the --search scans")
-    sp.add_argument("--max-pairs", type=int, default=200)
-    sp.add_argument("--max-tables", type=int, default=None,
+    sp.add_argument("--max-pairs", type=nonnegative_int, default=200)
+    sp.add_argument("--max-tables", type=nonnegative_int, default=None,
                     help="bound the degree-4 enumeration phase of --search")
     sp.add_argument("--cap", type=int, default=4096)
     sp.set_defaults(func=cmd_k33)
@@ -450,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    t0 = time.time()
+    t0 = time.perf_counter()
     params = {
         k: v for k, v in vars(args).items() if k not in ("func", "json") and v is not None
     }
@@ -464,13 +472,28 @@ def main(argv=None) -> int:
         envelope["result"], code = args.func(args)
     except FiberwalkError as exc:
         envelope["error"], code = str(exc), 1
-    envelope["elapsed_ms"] = int((time.time() - t0) * 1000)
-    text = json.dumps(envelope, indent=2, sort_keys=True)
-    print(text)
+    envelope["elapsed_ms"] = int((time.perf_counter() - t0) * 1000)
+    # the C encoder only runs without indent; compact output is one line
+    text = json.dumps(envelope, sort_keys=True) + "\n"
+    # the file copy first, so a reader that closes stdout early cannot lose it
     out = getattr(args, "json", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"fiberwalk: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+            code = code or 1
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; keep the interpreter's final flush quiet too
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

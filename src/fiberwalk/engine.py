@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 from . import _kernel as kernel
 from .errors import FiberTooLargeError, TooLargeError
 from .graphs import MarginMap
-from .tables import Move, StateSpace, Table, apply_move, state_at, state_index
+from .tables import Move, StateSpace, Table, apply_move, state_index
 
 DEFAULT_NODE_CAP = 1_000_000
 # total multisets enumerated by verify_markov_basis before giving up
@@ -37,7 +37,8 @@ def pack_table(t: Table, space: StateSpace) -> bytes:
 
 
 def unpack_table(b: bytes, space: StateSpace) -> Table:
-    return Table([(state_at(i, space), c) for i, c in enumerate(b) if c])
+    states = space.states_by_index
+    return Table([(states[i], c) for i, c in enumerate(b) if c])
 
 
 def pack_move_set(moves: Sequence[Move], space: StateSpace):
@@ -56,7 +57,15 @@ class ComponentReport:
     start: Table
     size: int
     truncated: bool
-    members: Optional[tuple[Table, ...]] = None  # canonical order; None above cap
+    space: StateSpace
+    packed: Optional[tuple[bytes, ...]] = None  # sorted packed members; None above cap
+
+    @cached_property
+    def members(self) -> Optional[tuple[Table, ...]]:
+        """The members in canonical order, unpacked once; None when not kept."""
+        if self.packed is None:
+            return None
+        return tuple(unpack_table(b, self.space) for b in self.packed)
 
     @cached_property
     def member_set(self) -> frozenset[Table]:
@@ -80,10 +89,9 @@ def connected_component(
     start.validate_on(space)
     pm = pack_move_set(moves, space)
     visited, truncated = kernel.component(pack_table(start, space), pm, node_cap)
-    members = None
-    if keep_members and not truncated:
-        members = tuple(unpack_table(b, space) for b in sorted(visited))
-    return ComponentReport(start=start, size=len(visited), truncated=truncated, members=members)
+    packed = tuple(sorted(visited)) if keep_members and not truncated else None
+    return ComponentReport(start=start, size=len(visited), truncated=truncated, space=space,
+                           packed=packed)
 
 
 @dataclass
@@ -214,10 +222,11 @@ def enumerate_fiber(am: MarginMap, key: tuple[int, ...], size_cap: int = 100_000
     # counts[i] is the count placed at cell i, None before cell i is reached;
     # counts run from the largest the residuals allow down to zero
     counts: list[Optional[int]] = [None] * n_cells
+    states = space.states_by_index
     i = 0
     while i >= 0:
         if i == n_cells:
-            out.append(Table([(state_at(j, space), c) for j, c in enumerate(counts) if c]))
+            out.append(Table([(states[j], c) for j, c in enumerate(counts) if c]))
             if len(out) > size_cap:
                 raise FiberTooLargeError(f"fiber exceeds the cap of {size_cap}")
             i -= 1

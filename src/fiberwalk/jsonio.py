@@ -78,6 +78,13 @@ def table_to_json(t: Table, space: StateSpace) -> dict:
     return {"d": list(space.levels), "cells": _cells_to_json(t)}
 
 
+def packed_table_to_json(b: bytes, space: StateSpace) -> dict:
+    """table_to_json of a table packed one byte per cell in index order."""
+    states = space.states_by_index
+    cells = [[list(states[i]), c] for i, c in enumerate(b) if c]
+    return {"d": list(space.levels), "cells": cells}
+
+
 def table_from_json(data: dict) -> tuple[Table, StateSpace]:
     data = _object(data, "table")
     try:

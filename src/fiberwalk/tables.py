@@ -10,6 +10,7 @@ subtracts the negative part and adds the positive part.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
@@ -65,6 +66,11 @@ class StateSpace:
                 x[v] = 1
             else:
                 return
+
+    @cached_property
+    def states_by_index(self) -> tuple[State, ...]:
+        """All states in index order, built once; index order is lexicographic."""
+        return tuple(self.states())
 
 
 def state_index(x: State, space: StateSpace) -> int:

@@ -1,5 +1,9 @@
+import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -8,7 +12,9 @@ import pytest
 import fiberwalk
 from fiberwalk import jsonio
 from fiberwalk.cli import build_parser, main
+from fiberwalk.engine import connected_component, unpack_table
 from fiberwalk.families import cycle_graph
+from fiberwalk.graphs import global_markov_moves
 from fiberwalk.presets import resolve
 from fiberwalk.tables import Table
 
@@ -106,7 +112,7 @@ def test_witness_disconnect_cli(capsys):
     assert r["disconnected"] is True
 
 
-def test_family_and_latin_cli(capsys):
+def test_family_and_latin_cli(capsys, shared_seth_cone):
     code, rep = run(capsys, "family", "primes", "--graph", "k2n", "--levels", "2", "4",
                     "--count-only")
     assert code == 0 and rep["result"]["n_min_primes"] == 201
@@ -124,6 +130,10 @@ def test_k33_cli(capsys):
     assert (rep["result"]["c18a"], rep["result"]["c18b"], rep["result"]["c90"]) == (18, 18, 90)
 
 
+# sha256 of json.dumps(result, sort_keys=True) of the table1 envelope
+TABLE1_RESULT_SHA256 = "b0d1e3ad04b297b971e8fa57f59b017693085c56bb6a7f7dc6c6beb5ac53b771"
+
+
 def test_table1_cli(tmp_path, capsys):
     out = str(tmp_path / "report.json")
     code, rep = run(capsys, "--json", out, "table1")
@@ -131,6 +141,67 @@ def test_table1_cli(tmp_path, capsys):
     assert rep["result"]["all_match"] is True
     with open(out) as fh:
         assert json.load(fh)["result"]["all_match"] is True
+    blob = json.dumps(rep["result"], sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == TABLE1_RESULT_SHA256
+
+
+# one command per exit code that prints an envelope
+ENVELOPE_COMMANDS = [
+    (["latin", "mols", "3"], 0),
+    (["component", "--preset", "c4"], 1),  # no start table
+]
+
+
+@pytest.mark.parametrize("argv, exit_code", ENVELOPE_COMMANDS)
+def test_envelope_is_one_line_and_the_file_gets_the_same(tmp_path, capsys, argv, exit_code):
+    out = tmp_path / "report.json"
+    assert main([*argv, "--json", str(out)]) == exit_code
+    text = capsys.readouterr().out
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert out.read_text() == text
+
+
+def test_unwritable_json_file_is_reported_and_stdout_still_written(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "report.json"
+    assert main(["latin", "mols", "3", "--json", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["result"]["n_squares"] == 2
+    assert f"cannot write {out}" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, exit_code", ENVELOPE_COMMANDS)
+def test_closed_stdout_keeps_the_exit_code_without_a_traceback(tmp_path, argv, exit_code):
+    src = str(Path(fiberwalk.__file__).resolve().parent.parent)
+    out = tmp_path / "report.json"
+    # the read end is closed before the child starts, so its write must fail
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fiberwalk.cli", *argv, "--json", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == exit_code
+    assert json.loads(out.read_text())["experiment"] == argv[0]
+
+
+def test_component_members_come_straight_from_packed_tables(tmp_path, capsys):
+    preset = resolve("c5")
+    start = Table({(1, 1, 2, 2, 1): 2, (1, 1, 2, 2, 2): 1, (1, 2, 1, 1, 2): 1,
+                   (1, 2, 1, 2, 2): 1, (1, 2, 2, 1, 1): 1, (2, 1, 1, 2, 2): 1,
+                   (2, 1, 2, 2, 2): 1})
+    tpath = str(tmp_path / "t.json")
+    jsonio.dump(jsonio.table_to_json(start, preset.space), tpath)
+    code, rep = run(capsys, "component", "--preset", "c5", "--start", tpath, "--global-markov")
+    rep_lib = connected_component(start, global_markov_moves(preset.graph), preset.space)
+    assert code == 0 and rep["result"]["size"] == rep_lib.size == 70
+    expected = [jsonio.table_to_json(unpack_table(b, preset.space), preset.space)
+                for b in rep_lib.packed]
+    assert rep["result"]["members"] == expected
 
 
 def test_json_flag_after_subcommand(tmp_path, capsys):
@@ -191,6 +262,14 @@ def test_check_margins_graph_file_with_family(tmp_path, capsys):
     jsonio.dump(jsonio.graph_to_json(g), gpath)
     code, rep = run(capsys, "check-margins", "--graph", gpath, "--mode", "positive")
     assert code == 0 and rep["result"]["holds"] is True
+
+
+@pytest.mark.parametrize("option", ["--max-pairs", "--max-tables"])
+def test_k33_search_negative_cap_is_a_usage_error(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["k33", "--search", option, "-1"])
+    assert exc.value.code == 2
+    assert f"argument {option}: must be >= 0" in capsys.readouterr().err
 
 
 def test_k33_bounded_search_smoke(capsys):

@@ -61,8 +61,8 @@ PINNED_FACETS = {
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_FACETS))
-def test_preset_facet_lists_are_pinned(name):
-    facets = cone_facets(margin_map(resolve(name).graph))
+def test_preset_facet_lists_are_pinned(name, preset_facets):
+    facets = preset_facets(name)
     coeffs = [f.coeffs for f in facets]
     assert coeffs == sorted(coeffs)
     blob = json.dumps(coeffs, separators=(",", ":")).encode()
@@ -200,12 +200,10 @@ def test_relative_interior_full_table(c4):
         is_relative_interior(am, margins(am, full), None)
 
 
-def test_relative_interior_seth_margins():
-    from fiberwalk.presets import resolve
-
+def test_relative_interior_seth_margins(preset_facets):
     preset = resolve("seth-c4-3")
     am = margin_map(preset.graph)
-    facets = cone_facets(am)  # rank-25 cone, still within the facet budget
+    facets = preset_facets("seth-c4-3")  # rank-25 cone, still within the facet budget
     assert is_relative_interior(am, margins(am, preset.pinned_table), facets)
 
 

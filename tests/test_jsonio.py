@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fiberwalk import jsonio
+from fiberwalk.engine import MAX_PACKED_DEGREE, unpack_table
 from fiberwalk.errors import InvalidStateError
 from fiberwalk.families import cycle_graph
 from fiberwalk.graphs import global_markov_moves
@@ -49,3 +52,25 @@ def test_file_roundtrip(tmp_path):
     g = cycle_graph(5)
     jsonio.dump(jsonio.graph_to_json(g), path)
     assert jsonio.graph_from_json(jsonio.load(path)) == g
+
+
+@st.composite
+def packed_tables(draw):
+    """A random state space and a table on it, packed one byte per cell,
+    of degree at most MAX_PACKED_DEGREE."""
+    space = StateSpace(tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))))
+    cells = bytearray(space.total_cells)
+    budget = draw(st.integers(0, MAX_PACKED_DEGREE))
+    for i in draw(st.lists(st.integers(0, len(cells) - 1), max_size=12)):
+        count = draw(st.integers(0, budget))
+        cells[i] += count
+        budget -= count
+    return bytes(cells), space
+
+
+@given(packed_tables())
+def test_packed_table_to_json_matches_the_table_path(packed):
+    b, space = packed
+    assert jsonio.packed_table_to_json(b, space) == jsonio.table_to_json(
+        unpack_table(b, space), space
+    )

@@ -109,7 +109,7 @@ def test_verify_disconnection_preconditions():
     assert any("cut vertex" in f for f in rep.precondition_failures)
 
 
-def test_isolation_stable_under_symbol_relabeling():
+def test_isolation_stable_under_symbol_relabeling(shared_seth_cone):
     # permute the symbols inside each square; the image table is still stuck
     g = cycle_graph(4, level=3)
     perm = {1: 2, 2: 3, 3: 1}

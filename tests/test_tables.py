@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fiberwalk.errors import (
     InvalidMoveError,
@@ -146,3 +148,12 @@ def test_canonical_orientation_and_dedup():
     once = dedup_moves(moves)
     rng.shuffle(moves)
     assert dedup_moves(moves) == once == dedup_moves(once)
+
+
+@given(st.lists(st.integers(2, 5), min_size=1, max_size=4))
+def test_states_by_index_is_state_at_and_sorted(levels):
+    space = StateSpace(tuple(levels))
+    states = space.states_by_index
+    assert states == tuple(state_at(i, space) for i in range(space.total_cells))
+    assert list(states) == sorted(states)
+    assert space.states_by_index is states
