@@ -9,6 +9,11 @@ order, so its results are those of trying every move.  The compiled `_fast`
 extension is used when it was built (`python setup.py build_ext --inplace`),
 otherwise the pure-Python `pure` module.  Set FIBERWALK_PURE=1 to force the
 fallback.
+
+`forward_neighbors` has no caller in the library: `engine.verify_markov_basis`
+builds its edges from the moves instead.  It stays in the interface because
+the benchmark's tracer binds every kernel name and the parity tests compare
+it across the backends.
 """
 
 import os

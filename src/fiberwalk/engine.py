@@ -2,8 +2,16 @@
 and extensional Markov-basis verification.
 
 The engine walks the implicit graph whose nodes are tables and whose edges
-are move applications (in either orientation).  Tables are interned as
-packed byte strings via the kernel backend; see fiberwalk._kernel.
+are move applications (in either orientation).  Searches intern tables as
+packed byte strings, one byte per cell, and ask the kernel backend for each
+table's images; see fiberwalk._kernel.
+
+The Markov-basis check needs no kernel.  It enumerates every table up to a
+degree, so it writes each table as one integer: the packed cells as its
+low big-endian bytes, the margin key above them.  It builds the fiber
+graph's edges from the moves: a move applies to a table t exactly when t
+is its negative part plus a table s of lower degree, so its edges are
+(minus + s, plus + s) over every such s, found by integer additions alone.
 """
 
 from __future__ import annotations
@@ -12,10 +20,10 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import _kernel as kernel
-from .errors import FiberTooLargeError, TooLargeError
+from .errors import FiberTooLargeError, FiberwalkError, TooLargeError
 from .graphs import MarginMap
 from .tables import Move, StateSpace, Table, apply_move, state_index
 
@@ -68,12 +76,18 @@ class ComponentReport:
         return tuple(unpack_table(b, self.space) for b in self.packed)
 
     @cached_property
-    def member_set(self) -> frozenset[Table]:
-        """The members as a set, built once; empty when they were not kept."""
-        return frozenset(self.members or ())
+    def member_set(self) -> frozenset[bytes]:
+        """The packed members as a set, built once; empty when they were not kept."""
+        return frozenset(self.packed or ())
 
     def contains(self, t: Table) -> bool:
-        return t in self.member_set
+        """Whether t is a member, by its packed bytes; a table that cannot be
+        packed (degree above 255, a state outside the space) is not one."""
+        try:
+            b = pack_table(t, self.space)
+        except FiberwalkError:
+            return False
+        return b in self.member_set
 
 
 def connected_component(
@@ -251,26 +265,41 @@ def enumerate_fiber(am: MarginMap, key: tuple[int, ...], size_cap: int = 100_000
     return frozenset(out)
 
 
-def _degree_tables(am: MarginMap, degree: int) -> Iterable[tuple[bytes, int]]:
-    """Packed tables of exact degree d (multisets of d cells), each with its
-    margin key.
-
-    The key packs the margin vector into one integer, a field per row with
-    row 0 most significant.  The fields are wider than degree.bit_length(),
-    so no margin carries into the next field, and keys compare exactly as
-    the margin tuples do.
-    """
+def _cell_codes(am: MarginMap, width: int) -> list[int]:
+    """The integer of each one-cell table (see `_degree_tables`): a margin
+    key field of `width` bits per row, row 0 most significant, above
+    8 * n_cols bits that hold the packed cells, cell 0 most significant."""
     n = am.n_cols
-    width = degree.bit_length() + 1
     top = am.n_rows - 1
-    weight = [sum(1 << (width * (top - r)) for r in am.rows_of_cell(i)) for i in range(n)]
-    for combo in itertools.combinations_with_replacement(range(n), degree):
-        cells = bytearray(n)
-        key = 0
-        for i in combo:
-            cells[i] += 1
-            key += weight[i]
-        yield bytes(cells), key
+    keys = [sum(1 << width * (top - r) for r in am.rows_of_cell(i)) for i in range(n)]
+    return [(key << 8 * n) + (1 << 8 * (n - 1 - i)) for i, key in enumerate(keys)]
+
+
+def _degree_tables(codes: list[int], degree: int) -> list[int]:
+    """Every table of exact degree d (multiset of d cells) as one integer,
+    the sum of its cells' `_cell_codes`.
+
+    Its low 8 * n_cols bits are the packed cells as big-endian bytes, so
+    `(t & mask).to_bytes(n_cols, "big")` unpacks it, and above them sits
+    its margin key, one field per row.  The fields must be wider than
+    d.bit_length() and the cells must stay below 256 (d <= 255); then
+    nothing carries, adding integers adds tables, and integers compare as
+    (margin tuple, packed bytes) do.
+
+    Built by additions alone: the tables are listed by their last
+    (largest) cell, and those of degree k + 1 whose last cell is i are
+    those of degree k whose last cell is at most i, plus cell i.
+    """
+    n = len(codes)
+    # degree 0: the empty table, whose last cell is below every i
+    tables, upto = [0], [1] * n
+    for _ in range(degree):
+        grown = []
+        for i, code in enumerate(codes):
+            grown += map(code.__add__, itertools.islice(tables, upto[i]))
+            upto[i] = len(grown)  # tables of the new degree with last cell <= i
+        tables = grown
+    return tables
 
 
 @dataclass
@@ -293,13 +322,29 @@ def verify_markov_basis(
 ) -> BasisVerdict:
     """Extensional check: do the moves connect every fiber up to a degree?
 
-    Enumerates all tables of degree <= degree_bound, groups them by margin
-    vector, and union-finds components via forward move applications.  On
-    failure the witness pair is canonical: lowest degree, smallest margin
-    key, then the two smallest tables in distinct components.
+    Enumerates all tables of degree <= degree_bound as integers that hold
+    the margin key above the packed cells (see `_degree_tables`), and
+    union-finds the components of the fiber graph.  Its edges come from
+    the moves, not from the tables: a move of degree e applies to a table
+    t of degree d exactly when t = minus + s for a table s of degree
+    d - e, so the edges at degree d are the pairs (minus + s, plus + s)
+    over every move and every s in the kept list of degree d - e.  Every
+    pair is an edge, and they are the forward move applications to every
+    table.  Sorted, the tables run fiber by fiber in margin-key order,
+    each fiber in packed-byte order, so the first table whose root differs
+    from its fiber's first gives the canonical witness: lowest degree,
+    smallest margin key, then the two smallest tables in distinct
+    components.
+
+    Raises TooLargeError when degree_bound exceeds the one-byte cell range
+    or the tables would exceed table_budget, before enumerating any.
     """
     if degree_bound < 1:
         raise TooLargeError("degree bound must be >= 1")
+    if degree_bound > MAX_PACKED_DEGREE:
+        raise TooLargeError(
+            f"degree {degree_bound} exceeds {MAX_PACKED_DEGREE}, the packed byte range"
+        )
     n = am.n_cols
     total = sum(comb(n + d - 1, d) for d in range(1, degree_bound + 1))
     if total > table_budget:
@@ -307,50 +352,60 @@ def verify_markov_basis(
             f"degree {degree_bound} needs {total} tables (> budget {table_budget})"
         )
     space = am.space
-    pm = pack_move_set(moves, space)
+    codes = _cell_codes(am, degree_bound.bit_length() + 1)
+    cells = 8 * n
+
+    def as_int(t: Table) -> int:
+        return sum(c * codes[state_index(s, space)] for s, c in t.items())
+
+    def unpack(t: int) -> Table:
+        return unpack_table((t & ((1 << cells) - 1)).to_bytes(n, "big"), space)
+
+    # (minus, plus) as integers, by move degree
+    by_degree: dict[int, list[tuple[int, int]]] = {}
+    for m in moves:
+        by_degree.setdefault(m.degree, []).append((as_int(m.minus), as_int(m.plus)))
+    # lower[k]: every table of degree k, the s values of the edges
+    lower: list[list[int]] = [[0]]
 
     fibers_checked = 0
     for degree in range(1, degree_bound + 1):
-        parent: dict[bytes, bytes] = {}
+        # union-find over tables; roots are absent, and the smaller root wins
+        parent: dict[int, int] = {}
 
-        def find(x: bytes) -> bytes:
+        def find(x: int) -> int:
             root = x
-            while parent[root] != root:
+            while root in parent:
                 root = parent[root]
-            while parent[x] != root:
+            while x != root:
                 parent[x], x = root, parent[x]
             return root
 
-        def union(x: bytes, y: bytes) -> None:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                if rx > ry:
-                    rx, ry = ry, rx
-                parent[ry] = rx
+        for e, pairs in by_degree.items():
+            if e > degree:
+                continue
+            for a, b in pairs:
+                for s in lower[degree - e]:
+                    rx, ry = find(a + s), find(b + s)
+                    if rx != ry:
+                        if rx > ry:
+                            rx, ry = ry, rx
+                        parent[ry] = rx
+        tables = _degree_tables(codes, degree)
+        if degree < degree_bound:
+            lower.append(tables)
 
-        groups: dict[int, list[bytes]] = {}
-        for tb, key in _degree_tables(am, degree):
-            parent[tb] = tb
-            groups.setdefault(key, []).append(tb)
-        for tb in parent:
-            for nb in kernel.forward_neighbors(tb, pm):
-                union(tb, nb)
-
-        for key in sorted(groups):
-            members = groups[key]
-            fibers_checked += 1
-            roots = {find(tb) for tb in members}
-            if len(roots) > 1:
-                members.sort()
-                first = members[0]
-                r0 = find(first)
-                second = next(tb for tb in members if find(tb) != r0)
-                witness = (unpack_table(first, space), unpack_table(second, space))
+        key = None
+        for t in sorted(tables):
+            if t >> cells != key:
+                key, first, root = t >> cells, t, find(t)
+                fibers_checked += 1
+            elif find(t) != root:
                 return BasisVerdict(
                     passed=False,
                     degree_bound=degree_bound,
                     fibers_checked=fibers_checked,
-                    witness=witness,
+                    witness=(unpack(first), unpack(t)),
                     witness_degree=degree,
                 )
     return BasisVerdict(passed=True, degree_bound=degree_bound, fibers_checked=fibers_checked)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb, prod
 from typing import Iterable, Optional
 
 from .cones import Functional
@@ -217,6 +218,44 @@ class K2NShape:
         return self.free_levels[vertex - 3]
 
 
+# The largest closed-form K(2,m) family generated, counted in cells written
+# or visited (`k2n_basis_work`, `k2n_prime_work`).  By `elapsed_ms` on one
+# 2-core x86_64 machine, `family k2n-basis 2 2 2 2` (786,432) takes 1.2 s
+# and `family primes --graph k2n --levels 2 6` (184,704) 0.5 s; `--levels
+# 2 7` (889,280) took 2.0 s and `k2n-basis 2 2 2 3` (3,575,808) 6.0 s.
+MAX_K2N_WORK = 800_000
+
+
+def k2n_basis_work(shape: K2NShape) -> int:
+    """Cell coordinates the quartics write: sum over a of C(d_a, 2) times
+    (product of the other levels)^4 moves, each of 8 cells of N coordinates.
+    The quadratic moves are fewer, so they are not counted."""
+    levels = shape.free_levels
+    moves = sum(
+        comb(d, 2) * prod(levels[:a] + levels[a + 1:]) ** 4 for a, d in enumerate(levels)
+    )
+    return moves * 8 * shape.n_total
+
+
+def k2n_prime_work(shape: K2NShape) -> int:
+    """Cells the slice-prime loop visits: every cell for each (a, C, b, D).
+    A level above 64 is counted as 64, which is far above the cap already."""
+    levels = shape.free_levels
+    subsets = [2 ** min(d, 64) - 2 for d in levels]
+    if shape.n_total == 4:
+        pairs = sum(c * c for c in subsets)
+    else:
+        pairs = sum(subsets) ** 2
+    return pairs * shape.space.total_cells
+
+
+def _check_k2n_work(what: str, work: int) -> None:
+    if work > MAX_K2N_WORK:
+        raise TooLargeError(
+            f"the closed-form k2n {what} needs {work:,} steps, above the cap of {MAX_K2N_WORK:,}"
+        )
+
+
 def k2n_graph(shape: K2NShape) -> LabeledGraph:
     n = shape.n_total
     edges = [(i, a) for i in (1, 2) for a in range(3, n + 1)]
@@ -268,6 +307,7 @@ def k2n_quartic_moves(shape: K2NShape) -> list[Move]:
     """Quartics trading a distinguished coordinate's two values between the
     diagonal and antidiagonal first-group slices.
     """
+    _check_k2n_work("basis", k2n_basis_work(shape))
     n = shape.n_total
     free = list(range(3, n + 1))
     moves = []
@@ -301,7 +341,8 @@ def k2n_quartic_moves(shape: K2NShape) -> list[Move]:
 
 
 def k2n_markov_basis(shape: K2NShape) -> list[Move]:
-    return dedup_moves(k2n_quadratic_moves(shape) + k2n_quartic_moves(shape))
+    quartics = k2n_quartic_moves(shape)  # first: it refuses a shape above the cap
+    return dedup_moves(k2n_quadratic_moves(shape) + quartics)
 
 
 def k2n_prime_witnesses(shape: K2NShape) -> list[PrimeWitness]:
@@ -311,6 +352,7 @@ def k2n_prime_witnesses(shape: K2NShape) -> list[PrimeWitness]:
     (2,1) and x_b not in D; (2,2) and x_a not in C.  For N=4 only a=b
     occurs.  C and D run over nonempty proper subsets.
     """
+    _check_k2n_work("primes", k2n_prime_work(shape))
     n = shape.n_total
     free = list(range(3, n + 1))
     space = shape.space

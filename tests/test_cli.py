@@ -423,3 +423,19 @@ def test_cycle_family_above_the_cap_is_refused_at_once(capsys, argv):
     # generating the n = 9 families takes seconds; refusing them takes none
     assert time.perf_counter() - t0 < 1.0
     assert code == 1 and "n = 8" in rep["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "primes", "--graph", "k2n", "--levels", "2", "7", "--count-only"],
+    ["family", "primes", "--graph", "k2n", "--levels", "2", "8", "--count-only"],
+    ["family", "k2n-basis", "2", "2", "2", "3"],
+    ["family", "k2n-basis", "2", "2", "20"],
+])
+def test_k2n_family_above_the_cap_is_refused_at_once(capsys, argv):
+    from fiberwalk.families import MAX_K2N_WORK
+
+    t0 = time.perf_counter()
+    code, rep = run(capsys, *argv)
+    # generating these takes seconds or more; refusing them takes none
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and f"{MAX_K2N_WORK:,}" in rep["error"]

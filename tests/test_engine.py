@@ -1,6 +1,10 @@
+import functools
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiberwalk.engine import (
     are_connected,
@@ -9,9 +13,19 @@ from fiberwalk.engine import (
     pack_table,
     verify_markov_basis,
 )
-from fiberwalk.errors import FiberTooLargeError, TooLargeError
-from fiberwalk.families import cycle_markov_basis, cycle_quadratic_moves, cycle_quartic_moves
-from fiberwalk.graphs import global_markov_moves, margin_map, margins
+from fiberwalk.errors import FiberTooLargeError, MoveNotApplicableError, TooLargeError
+from fiberwalk.families import (
+    K2NShape,
+    cycle_graph,
+    cycle_markov_basis,
+    cycle_quadratic_moves,
+    cycle_quartic_moves,
+    k2n_graph,
+    k2n_markov_basis,
+    k2n_shape_of,
+)
+from fiberwalk.graphs import LabeledGraph, global_markov_moves, margin_map, margins
+from fiberwalk.presets import resolve
 from fiberwalk.tables import Move, StateSpace, Table, apply_move
 
 N2 = StateSpace((2,))
@@ -198,15 +212,22 @@ def test_verify_markov_basis_budget():
 def test_degree_enumeration_matches_multiset_count(c4):
     from math import comb
 
-    from fiberwalk.engine import _degree_tables, unpack_table
+    from fiberwalk.engine import _cell_codes, _degree_tables, unpack_table
 
     am = margin_map(c4)
+    cells = 8 * 16
     for d in (1, 2, 3, 4):
-        pairs = list(_degree_tables(am, d))
+        ints = _degree_tables(_cell_codes(am, d.bit_length() + 1), d)
+        # the packed cells are the low bytes, big-endian; the margin key sits above
+        pairs = [((t & ((1 << cells) - 1)).to_bytes(16, "big"), t >> cells) for t in ints]
         tables = [b for b, _ in pairs]
         assert len(tables) == comb(16 + d - 1, d)
         assert len(set(tables)) == len(tables)
         assert all(sum(b) == d for b in tables)
+        assert all(pack_table(unpack_table(b, c4.levels), c4.levels) == b for b in tables)
+        # the integers compare as (key, packed bytes) do
+        assert sorted(ints) == [(k << cells) + int.from_bytes(b, "big")
+                                for b, k in sorted(pairs, key=lambda p: (p[1], p[0]))]
         # one key per margin tuple, ordered exactly as the tuples are
         tuples = {}
         for b, key in pairs:
@@ -214,6 +235,146 @@ def test_degree_enumeration_matches_multiset_count(c4):
             assert tuples.setdefault(key, marg) == marg
         assert len(set(tuples.values())) == len(tuples)
         assert [tuples[k] for k in sorted(tuples)] == sorted(tuples.values())
+
+
+def test_verify_markov_basis_refuses_degrees_above_byte_range(c4, monkeypatch):
+    from fiberwalk import engine
+
+    def enumerate_nothing(codes, degree):
+        raise AssertionError("enumerated tables before refusing the degree")
+
+    monkeypatch.setattr(engine, "_degree_tables", enumerate_nothing)
+    am = margin_map(c4)
+    with pytest.raises(TooLargeError, match="255"):
+        verify_markov_basis(cycle_markov_basis(4), am, 256, table_budget=10**100)
+
+
+@functools.lru_cache(maxsize=None)
+def _fibers(graph, degree):
+    """Every table of the degree, and its fibers in margin-tuple order, each
+    sorted by packed bytes; the same for every move set, so built once."""
+    am, space = margin_map(graph), graph.levels
+    tables = [Table([(s, 1) for s in combo])
+              for combo in itertools.combinations_with_replacement(space.states(), degree)]
+    fibers = {}
+    for t in tables:
+        fibers.setdefault(margins(am, t), []).append(t)
+    return tables, [sorted(fibers[key], key=lambda t: pack_table(t, space))
+                    for key in sorted(fibers)]
+
+
+def reference_verdict(moves, graph, degree_bound):
+    """verify_markov_basis by brute force: every move tried on every table
+    with tables.apply_move, a union-find, then the canonical witness rule
+    (lowest degree, smallest margin tuple, the two smallest tables by
+    packed bytes in distinct components)."""
+    checked = 0
+    for d in range(1, degree_bound + 1):
+        tables, fibers = _fibers(graph, d)
+        parent = {t: t for t in tables}
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for t in tables:
+            for m in moves:
+                try:
+                    image = apply_move(t, m)
+                except MoveNotApplicableError:
+                    continue
+                parent[find(t)] = find(image)
+        for members in fibers:
+            checked += 1
+            apart = [t for t in members if find(t) != find(members[0])]
+            if apart:
+                return False, checked, d, (members[0], apart[0])
+    return True, checked, None, None
+
+
+PATH3 = LabeledGraph.build(3, [(1, 2), (2, 3)], [2, 3, 2])
+REFERENCE_MODELS = {
+    "c4": (cycle_graph(4), cycle_markov_basis(4)),
+    "k22": (k2n_graph(K2NShape((2, 2))), k2n_markov_basis(K2NShape((2, 2)))),
+    "path3": (PATH3, global_markov_moves(PATH3)),
+}
+
+
+@st.composite
+def stray_moves(draw, states):
+    """Degree 1-4, multi-count parts, and (nearly always) new margins."""
+    e = draw(st.integers(1, 4))
+    plus = draw(st.lists(st.sampled_from(states), min_size=e, max_size=e))
+    rest = [s for s in states if s not in plus]
+    minus = draw(st.lists(st.sampled_from(rest), min_size=e, max_size=e))
+    return Move(Table([(s, 1) for s in plus]), Table([(s, 1) for s in minus]))
+
+
+@st.composite
+def basis_cases(draw):
+    graph, basis = REFERENCE_MODELS[draw(st.sampled_from(sorted(REFERENCE_MODELS)))]
+    states = list(graph.levels.states())
+    if draw(st.booleans()):
+        # most of the basis: fibers connect up to where a dropped move is needed
+        dropped = draw(st.sets(st.sampled_from(basis), max_size=2))
+        moves = [m for m in basis if m not in dropped]
+    else:
+        moves = []
+    moves += draw(st.lists(st.sampled_from(basis), max_size=8))  # duplicates too
+    doubled = draw(st.lists(st.sampled_from(basis), max_size=1))
+    moves += [Move(m.plus.scale(2), m.minus.scale(2)) for m in doubled]
+    moves += draw(st.lists(stray_moves(states), max_size=3))
+    moves = draw(st.permutations(moves))
+    return graph, moves, draw(st.sampled_from([4, 3, 2, 1] if len(states) <= 12 else [3, 2, 1]))
+
+
+@settings(max_examples=100)
+@given(basis_cases())
+def test_verify_markov_basis_matches_brute_force(case):
+    graph, moves, degree = case
+    am = margin_map(graph)
+    verdict = verify_markov_basis(moves, am, degree)
+    got = (verdict.passed, verdict.fibers_checked, verdict.witness_degree, verdict.witness)
+    assert got == reference_verdict(moves, graph, degree)
+
+
+@pytest.mark.parametrize("name", ["c4", "k23"])
+def test_closed_form_basis_closures_are_whole_fibers(name):
+    graph = resolve(name).graph
+    basis = cycle_markov_basis(4) if name == "c4" else k2n_markov_basis(k2n_shape_of(graph))
+    am = margin_map(graph)
+    space = graph.levels
+    assert verify_markov_basis(basis, am, 3).passed
+
+    @settings(max_examples=50)
+    @given(st.lists(st.sampled_from(list(space.states())), min_size=1, max_size=3))
+    def closure_is_fiber(cells):
+        t = Table([(s, 1) for s in cells])
+        fiber = enumerate_fiber(am, margins(am, t))
+        rep = connected_component(t, basis, space)
+        assert rep.member_set == {pack_table(x, space) for x in fiber}
+
+    closure_is_fiber()
+
+
+def test_contains_looks_up_packed_members(c4):
+    am = margin_map(c4)
+    quartic = cycle_quartic_moves(4)[0]
+    rep = connected_component(quartic.plus, global_markov_moves(c4), c4.levels)
+    members = set(rep.members)
+    fiber = enumerate_fiber(am, margins(am, quartic.plus))
+    # the quadratic moves leave the quartic's other side out of the component
+    assert quartic.minus in fiber and quartic.minus not in members
+    assert rep.member_set == frozenset(rep.packed)
+    for t in fiber | {Table.unit((1, 1, 1, 1)), Table()}:
+        assert rep.contains(t) == (t in members)
+    # tables that cannot be packed are not members
+    for probe in (Table({(1, 1, 1, 1): 256}), Table({(1, 1, 1, 3): 1}), Table({(1, 1, 1): 1})):
+        assert not rep.contains(probe)
+    swap = Table({(1, 1, 1, 1): 1, (1, 2, 1, 2): 1})
+    truncated = connected_component(swap, global_markov_moves(c4), c4.levels, node_cap=1)
+    assert truncated.truncated and not truncated.contains(swap)
 
 
 def test_pack_table_caps_degree_at_one_byte():

@@ -7,6 +7,7 @@ from fiberwalk.engine import connected_component
 from fiberwalk.errors import NoClosedFormError, TooLargeError, UnsupportedLevelsError
 from fiberwalk.families import (
     MAX_CYCLE_N,
+    MAX_K2N_WORK,
     K2NShape,
     closed_form_family,
     closed_form_primes,
@@ -15,9 +16,12 @@ from fiberwalk.families import (
     cycle_prime_witnesses,
     cycle_quadratic_moves,
     cycle_quartic_moves,
+    k2n_basis_work,
     k2n_facet_inequalities,
     k2n_graph,
+    k2n_markov_basis,
     k2n_prime_witnesses,
+    k2n_prime_work,
     k2n_quadratic_moves,
     k2n_quartic_moves,
     pyramid_prime_count,
@@ -282,3 +286,25 @@ def test_cycle_families_refuse_cycles_above_the_cap():
             build(n)
     with pytest.raises(TooLargeError):
         closed_form_primes(cone_graph(cycle_graph(n), 2))
+
+
+def test_k2n_families_refuse_shapes_above_the_cap():
+    # quartics (before dedup) x 8 cells x N coordinates; (a, C, b, D) x cells
+    k23, g48 = K2NShape((2, 2, 2)), K2NShape((2, 4))
+    assert k2n_basis_work(k23) == 3 * 4 ** 4 * 8 * 5
+    assert k2n_basis_work(g48) == (4 ** 4 + 6 * 2 ** 4) * 8 * 4
+    assert len(k2n_quartic_moves(k23)) <= 3 * 4 ** 4
+    assert k2n_prime_work(k23) == 3 * 3 * 2 * 2 * 32
+    assert k2n_prime_work(g48) == (2 * 2 + 14 * 14) * 32
+    # the largest sizes in use stay under the cap
+    assert k2n_basis_work(K2NShape((2, 2, 2, 2))) <= MAX_K2N_WORK
+    assert k2n_prime_work(K2NShape((2, 6))) <= MAX_K2N_WORK
+    for shape in (K2NShape((2, 2, 2, 3)), K2NShape((2, 2, 20))):
+        for build in (k2n_quartic_moves, k2n_markov_basis):
+            with pytest.raises(TooLargeError):
+                build(shape)
+    for free in ((2, 7), (2, 8)):
+        with pytest.raises(TooLargeError):
+            k2n_prime_witnesses(K2NShape(free))
+        with pytest.raises(TooLargeError):
+            closed_form_primes(k2n_graph(K2NShape(free)))
