@@ -4,19 +4,21 @@ Facet enumeration works in the span of the matrix columns: a basis of the
 span turns the polar cone into a full-dimensional pointed cone in rank-many
 coordinates, whose extreme rays are the facet normals.  They are found by
 double description in exact integer arithmetic, inserting constraints in
-input order.  Two rays are adjacent when no third ray is tight on all of
-their common tight constraints (the combinatorial test of Fukuda and
-Prodon); the test runs on bitsets, one per constraint over the ray
-indices, and looks only at the constraints of the common set.
-Margin-property verdicts evaluate prime-witness monomials against those
-functionals.
+input order, from starting rays that a fraction-free Gauss–Jordan inverse
+of the basis constraints gives.  Two rays are adjacent when no third ray is
+tight on all of their common tight constraints (the combinatorial test of
+Fukuda and Prodon).  The rays tight on a common set are an AND of bitsets
+over the ray indices, read from one 256-entry table per byte of processed
+constraints.  Margin-property verdicts evaluate prime-witness monomials
+against those functionals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import and_, mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -40,7 +42,7 @@ def _reduce(vec: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 @dataclass(frozen=True)
@@ -87,27 +89,30 @@ def integer_rank(vectors: list[tuple[int, ...]]) -> int:
 
 
 def _inverse_columns(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Integer vectors r_j with rows · r_j = d_j e_j, d_j > 0 (Fraction solve)."""
+    """Primitive integer vectors r_j with rows · r_j = d_j e_j, d_j > 0.
+
+    Fraction-free Gauss–Jordan elimination on [rows | I]: each step sets
+    row_i = (pv * row_i - f * pivot_row) // prev for every other row i,
+    where pv is this pivot and prev the one before, and every division is
+    exact.  The last pivot is the determinant d of the row-swapped matrix,
+    which ends as d·I on the left with d·rows⁻¹ on the right, so column j
+    of the right block times sign(d) solves rows · r_j = |d| e_j.
+    """
     r = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(r)] for i, row in enumerate(rows)]
+    aug = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(rows)]
+    prev = 1
     for col in range(r):
         piv = next(i for i in range(col, r) if aug[i][col])
         aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
+        pivot_row = aug[col]
+        pv = pivot_row[col]
         for i in range(r):
-            if i != col and aug[i][col]:
+            if i != col:
                 f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    cols = []
-    for j in range(r):
-        col = [aug[i][r + j] for i in range(r)]
-        denom = 1
-        for x in col:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ivec = tuple(int(x * denom) for x in col)
-        cols.append(_reduce(ivec))
-    return cols
+                aug[i] = [(pv * a - f * b) // prev for a, b in zip(aug[i], pivot_row)]
+        prev = pv
+    sign = 1 if prev > 0 else -1
+    return [_reduce(tuple([sign * row[r + j] for row in aug])) for j in range(r)]
 
 
 def _extreme_rays(constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -117,12 +122,14 @@ def _extreme_rays(constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     insert the remaining constraints one at a time (basis first, then input
     order), pairing adjacent positive/negative rays.  Adjacency is the
     combinatorial test: no third ray is tight on every constraint of the
-    pair's common tight set.  Each insertion transposes the rays' tight
-    masks into one bitset over ray indices per processed constraint; a pair
-    whose common set has fewer than r - 2 constraints cannot span a 2-face
-    and is dropped at once, otherwise the bitsets of its common set are
-    ANDed until only the pair itself is left (adjacent) or the set runs out
-    (not adjacent).
+    pair's common tight set.  A pair whose common set has fewer than r - 2
+    constraints cannot span a 2-face and is dropped at once.  Only when
+    some pair is left, the rays' tight masks are transposed into one bitset
+    over ray indices per processed constraint, and each group of 8
+    processed constraints gets a 256-entry table whose entry v is the AND
+    of the bitsets of the set bits of v (entry 0 is every ray).  The rays
+    tight on a common set are then the AND of one table entry per byte of
+    the set, and the pair is adjacent when that leaves the pair alone.
     """
     r = len(constraints[0])
     base_idx = _independent_subset(constraints)
@@ -144,42 +151,44 @@ def _extreme_rays(constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     for ci in order[r:]:
         m = constraints[ci]
         vals = [_dot(m, ray) for ray in rays]
-        keep = [i for i, v in enumerate(vals) if v >= 0]
-        neg = [i for i, v in enumerate(vals) if v < 0]
+        pos_tight = [(ip, tight[ip]) for ip, v in enumerate(vals) if v > 0]
+        neg_tight = [(im, tight[im]) for im, v in enumerate(vals) if v < 0]
+        pairs = [
+            (ip, im, common)
+            for ip, tight_p in pos_tight
+            for im, t in neg_tight
+            if (common := tight_p & t).bit_count() >= need
+        ]
         new_rays = []
         new_tight = []
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        # zero[c]: bitset of the rays tight on processed constraint c
-        zero = [0] * len(processed)
-        for i, t in enumerate(tight):
-            bit_i = 1 << i
-            while t:
-                low = t & -t
-                zero[low.bit_length() - 1] |= bit_i
-                t ^= low
-        everyone = (1 << len(rays)) - 1
-        neg_tight = [(im, tight[im]) for im in neg]
-        for ip in pos:
-            tight_p = tight[ip]
-            bit_p = 1 << ip
-            for im, common in [
-                (im, tight_p & t) for im, t in neg_tight if (tight_p & t).bit_count() >= need
-            ]:
-                pair = bit_p | (1 << im)
-                rest = everyone
-                left = common
-                while left and rest != pair:
-                    low = left & -left
-                    rest &= zero[low.bit_length() - 1]
-                    left ^= low
-                if rest != pair:
+        if pairs:
+            # zero[c]: bitset of the rays tight on processed constraint c
+            zero = [0] * len(processed)
+            for i, t in enumerate(tight):
+                bit_i = 1 << i
+                while t:
+                    low = t & -t
+                    zero[low.bit_length() - 1] |= bit_i
+                    t ^= low
+            tables = []
+            for lo in range(0, len(zero), 8):
+                tab = [(1 << len(rays)) - 1]
+                for z in zero[lo : lo + 8]:
+                    tab += [x & z for x in tab]
+                tables.append(tab)
+            nbytes = len(tables)
+            entry = list.__getitem__
+            for ip, im, common in pairs:
+                rest = reduce(and_, map(entry, tables, common.to_bytes(nbytes, "little")))
+                if rest != (1 << ip) | (1 << im):
                     continue
                 vp, vm = vals[ip], vals[im]
-                ray = _reduce(tuple(vp * b - vm * a for a, b in zip(rays[ip], rays[im])))
-                new_rays.append(ray)
+                ray = tuple([vp * b - vm * a for a, b in zip(rays[ip], rays[im])])
+                new_rays.append(_reduce(ray))
                 new_tight.append(common)
-        del zero
+            del zero, tables
         bit = 1 << len(processed)
+        keep = [i for i, v in enumerate(vals) if v >= 0]
         rays = [rays[i] for i in keep] + new_rays
         tight = [tight[i] | (bit if vals[i] == 0 else 0) for i in keep] + [
             t | bit for t in new_tight
@@ -216,10 +225,8 @@ def facets_of_columns(
     basis = [cols[i] for i in basis_idx]
     m_rows = [tuple(_dot(b, c) for b in basis) for c in nonzero]
     rays = _extreme_rays(m_rows)
-    normals = set()
-    for z in rays:
-        h = tuple(sum(zk * bk[i] for zk, bk in zip(z, basis)) for i in range(len(cols[0])))
-        normals.add(_reduce(h))
+    basis_t = list(zip(*basis))
+    normals = {_reduce(tuple([sum(map(mul, z, bt)) for bt in basis_t])) for z in rays}
     return [Functional(h) for h in sorted(normals)]
 
 

@@ -103,6 +103,8 @@ def k33_search(
     optionally max_tables enumerated tables; returns the first witness
     found or None.  Nothing is asserted about the outcome.
     """
+    if max_pairs == 0:
+        return None  # no pair may be tried, so nothing is enumerated
     g = graph if graph is not None else k33_graph()
     am = margin_map(g)
     space = g.levels

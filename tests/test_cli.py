@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 
 import fiberwalk
-from fiberwalk import jsonio
+from fiberwalk import jsonio, k33
 from fiberwalk.cli import build_parser, main
 from fiberwalk.engine import connected_component, unpack_table
 from fiberwalk.families import cycle_graph
-from fiberwalk.graphs import global_markov_moves
+from fiberwalk.graphs import global_markov_moves, margins
 from fiberwalk.presets import resolve
 from fiberwalk.tables import Table
 
@@ -278,6 +278,20 @@ def test_k33_bounded_search_smoke(capsys):
     code, rep = run(capsys, "k33", "--search", "--max-pairs", "5", "--max-tables", "2000")
     assert code == 0
     assert rep["result"]["found"] is False
+
+
+def test_k33_search_with_no_pairs_enumerates_nothing(monkeypatch, capsys):
+    calls = []
+
+    def counted(am, t):
+        calls.append(t)
+        return margins(am, t)
+
+    monkeypatch.setattr(k33, "margins", counted)
+    code, rep = run(capsys, "k33", "--search", "--max-pairs", "0")
+    assert code == 0
+    assert rep["result"]["found"] is False
+    assert calls == []
 
 
 def write_graph(tmp_path, name):

@@ -6,11 +6,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fiberwalk.cones import (
     Functional,
+    _inverse_columns,
     _reduce,
     build_disconnection_witness,
     check_margin_property,
@@ -157,6 +158,82 @@ def test_facets_match_brute_force(cols, rng):
     shuffled = cols[:]
     rng.shuffle(shuffled)
     assert [f.coeffs for f in facets_of_columns(shuffled)] == got
+
+
+@st.composite
+def full_rank_matrices(draw):
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    assume(len(_rref(rows, n)[1]) == n)
+    return rows
+
+
+@given(full_rank_matrices())
+def test_inverse_columns_match_a_fraction_solve(rows):
+    n = len(rows)
+    got = _inverse_columns([tuple(row) for row in rows])
+    for j, col in enumerate(got):
+        assert _reduce(col) == col
+        image = [sum(a * b for a, b in zip(row, col)) for row in rows]
+        assert image[j] > 0
+        assert image[:j] + image[j + 1:] == [0] * (n - 1)
+    # [rows | I] reduces to [I | rows^-1]; column j of the inverse, made
+    # primitive, is the expected r_j
+    inverse, _ = _rref([row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)], 2 * n)
+    assert got == [_primitive([inverse[i][n + j] for i in range(n)]) for j in range(n)]
+
+
+@pytest.mark.parametrize("name", ["c5", "k23", "g48", "square-pyramid"])
+def test_facets_do_not_depend_on_column_order(name):
+    # 32 columns: the adjacency tables of every insertion span several bytes
+    cols = margin_map(resolve(name).graph).columns()
+    rng = random.Random(name)
+    for _ in range(3):
+        rng.shuffle(cols)
+        coeffs = [f.coeffs for f in facets_of_columns(cols)]
+        blob = json.dumps(coeffs, separators=(",", ":")).encode()
+        assert (len(coeffs), hashlib.sha256(blob).hexdigest()) == PINNED_FACETS[name]
+
+
+def _cell_symmetries(g):
+    """Cell maps of every graph automorphism and, per vertex, of a
+    transposition and a cycle of its levels."""
+    n, levels = g.n_vertices, g.levels.levels
+    maps = []
+    for perm in itertools.permutations(range(n)):
+        if all(levels[perm[v]] == levels[v] for v in range(n)) and {
+            tuple(sorted((perm[u - 1] + 1, perm[v - 1] + 1))) for u, v in g.edges
+        } == g.edges:
+            maps.append(lambda x, perm=perm: tuple(x[perm.index(w)] for w in range(n)))
+    for v in range(n):
+        d = levels[v]
+        for relabel in ({1: 2, 2: 1}, {k: k % d + 1 for k in range(1, d + 1)}):
+            maps.append(lambda x, v=v, relabel=relabel: x[:v] + (relabel.get(x[v], x[v]),) + x[v + 1:])
+    return maps
+
+
+@pytest.mark.parametrize("name", ["seth-c4-3", "k33"])
+def test_facet_lists_are_closed_under_symmetries(name, preset_facets):
+    am = margin_map(resolve(name).graph)
+    states = list(am.space.states())
+    supports = [set() for _ in range(am.n_rows)]
+    for idx, x in enumerate(states):
+        for row in am.rows_of_cell(idx):
+            supports[row].add(x)
+    row_of = {frozenset(s): row for row, s in enumerate(supports)}
+    facets = {f.coeffs for f in preset_facets(name)}
+    symmetries = _cell_symmetries(am.graph)
+    assert len(symmetries) == {"seth-c4-3": 8 + 8, "k33": 72 + 12}[name]
+    for sigma in symmetries:
+        # a cell symmetry permutes the margin rows: row i goes to the row
+        # whose support is the image of row i's support
+        target = [row_of[frozenset(map(sigma, s))] for s in supports]
+        for h in facets:
+            image = [0] * am.n_rows
+            for i, c in enumerate(h):
+                image[target[i]] = c
+            assert tuple(image) in facets
 
 
 def test_facet_exactness_on_preset_cones(c4, c5, k23):
