@@ -1,19 +1,20 @@
 """Kernel backend selection.
 
 Both backends export the same interface: `pack_moves`, `forward_neighbors`,
-`neighbors_signed`, `component` and `BACKEND`.  `pack_moves` builds, once, a
-support index that files every forward and every directed move under the
-smallest cell it subtracts from; a scan tries only the moves filed under the
-table's nonzero cells (and those that subtract nothing), in ascending move
-order, so its results are those of trying every move.  The compiled `_fast`
-extension is used when it was built (`python setup.py build_ext --inplace`),
-otherwise the pure-Python `pure` module.  Set FIBERWALK_PURE=1 to force the
-fallback.
+`neighbors_signed`, `component` and `BACKEND`.  `pack_moves` packs every
+move forward and reversed, as directed moves, and builds, once, a support
+index that files each directed move under the smallest cell it subtracts
+from; a scan tries only the moves filed under the table's nonzero cells
+(and those that subtract nothing), in ascending order, so its results are
+those of trying every move.  The compiled `_fast` extension is used when it
+was built (`python setup.py build_ext --inplace`), otherwise the
+pure-Python `pure` module.  Set FIBERWALK_PURE=1 to force the fallback.
 
-`forward_neighbors` has no caller in the library: `engine.verify_markov_basis`
-builds its edges from the moves instead.  It stays in the interface because
-the benchmark's tracer binds every kernel name and the parity tests compare
-it across the backends.
+`forward_neighbors` is the same scan filtered to the forward moves.  It has
+no caller in the library: `engine.verify_markov_basis` builds its edges
+from the moves instead.  It stays in the interface because the benchmark's
+tracer binds every kernel name and the parity tests compare it across the
+backends.
 """
 
 import os

@@ -6,13 +6,16 @@
    a new bytes object and edits a few bytes, so neighbour generation never
    touches a Python integer.
 
-   A move can apply only to a table that is nonzero on every cell it subtracts
-   from, so pack_moves also files each forward and each directed move under the
+   Every move is packed twice, forward and reversed, as directed moves.  A
+   directed move can apply only to a table that is nonzero on every cell it
+   subtracts from, so pack_moves also files each directed move under the
    smallest such cell (per-cell CSR offsets; a move that subtracts nothing goes
    in a last bucket that every table tries).  A scan marks the buckets of the
    table's nonzero cells in a bitmap over the directed moves and applies the
    marked moves lowest first: the results are those of trying every move, in
-   the same order.
+   the same order.  forward_neighbors is that scan with the reversed moves
+   skipped; no library code calls it, and it stays for the benchmark's tracer,
+   which binds every kernel name.
 
    pack_moves rejects negative cells, and every call rejects a table shorter
    than the largest packed cell + 1, so no move reads or writes outside its
@@ -42,14 +45,14 @@ typedef struct {
 
 /* Part 2k is the negative part of move k, part 2k + 1 its positive part;
    part j is entries[off[j]:off[j + 1]].  Directed move d removes part d and
-   adds part d ^ 1, so `forward` indexes the even d and `directed` all d. */
+   adds part d ^ 1; forward moves are the even d. */
 typedef struct {
     PyObject_HEAD
     Py_ssize_t n_moves;
     Py_ssize_t max_cell; /* -1 when no move has a cell */
     Py_ssize_t *off;
     Entry *entries;
-    Index forward, directed;
+    Index index;
 } PackedMoves;
 
 static void
@@ -57,10 +60,8 @@ PackedMoves_dealloc(PackedMoves *pm)
 {
     PyMem_Free(pm->off);
     PyMem_Free(pm->entries);
-    PyMem_Free(pm->forward.start);
-    PyMem_Free(pm->forward.ids);
-    PyMem_Free(pm->directed.start);
-    PyMem_Free(pm->directed.ids);
+    PyMem_Free(pm->index.start);
+    PyMem_Free(pm->index.ids);
     PyObject_Free(pm);
 }
 
@@ -115,14 +116,14 @@ bucket_of(const PackedMoves *pm, Py_ssize_t d)
     return key;
 }
 
-/* Counting sort of the directed moves 0, step, 2 * step, ... by bucket. */
+/* Counting sort of the directed moves by bucket. */
 static int
-build_index(const PackedMoves *pm, Index *ix, Py_ssize_t step)
+build_index(const PackedMoves *pm, Index *ix)
 {
     Py_ssize_t n_buckets = pm->max_cell + 2, c, d, *fill;
 
     ix->start = PyMem_New(Py_ssize_t, n_buckets + 1);
-    ix->ids = PyMem_New(Py_ssize_t, 2 * pm->n_moves / step);
+    ix->ids = PyMem_New(Py_ssize_t, 2 * pm->n_moves);
     fill = PyMem_New(Py_ssize_t, n_buckets);
     if (ix->start == NULL || ix->ids == NULL || fill == NULL) {
         PyMem_Free(fill);
@@ -130,14 +131,14 @@ build_index(const PackedMoves *pm, Index *ix, Py_ssize_t step)
         return -1;
     }
     memset(fill, 0, n_buckets * sizeof(Py_ssize_t));
-    for (d = 0; d < 2 * pm->n_moves; d += step)
+    for (d = 0; d < 2 * pm->n_moves; d++)
         fill[bucket_of(pm, d)]++;
     ix->start[0] = 0;
     for (c = 0; c < n_buckets; c++) {
         ix->start[c + 1] = ix->start[c] + fill[c];
         fill[c] = ix->start[c];
     }
-    for (d = 0; d < 2 * pm->n_moves; d += step)
+    for (d = 0; d < 2 * pm->n_moves; d++)
         ix->ids[fill[bucket_of(pm, d)]++] = d;
     PyMem_Free(fill);
     return 0;
@@ -167,7 +168,7 @@ pack_moves(PyObject *self, PyObject *moves)
         goto error;
     pm->n_moves = n;
     pm->max_cell = -1;
-    pm->forward = pm->directed = (Index){NULL, NULL};
+    pm->index = (Index){NULL, NULL};
     pm->off = PyMem_New(Py_ssize_t, 2 * n + 1);
     pm->entries = PyMem_New(Entry, total);
     if (pm->off == NULL || pm->entries == NULL) {
@@ -197,7 +198,7 @@ pack_moves(PyObject *self, PyObject *moves)
         }
     }
     pm->off[2 * n] = e;
-    if (build_index(pm, &pm->forward, 2) < 0 || build_index(pm, &pm->directed, 1) < 0)
+    if (build_index(pm, &pm->index) < 0)
         goto error;
     Py_DECREF(parts);
     Py_DECREF(seq);
@@ -262,11 +263,12 @@ candidates_init(Candidates *cs, const PackedMoves *pm)
     return 0;
 }
 
-/* Adds the moves of ix that may apply to t: those filed under its nonzero
+/* Adds the directed moves that may apply to t: those filed under its nonzero
    cells and those that subtract nothing. */
 static void
-candidates_mark(Candidates *cs, const PackedMoves *pm, const Index *ix, const char *t)
+candidates_mark(Candidates *cs, const PackedMoves *pm, const char *t)
 {
+    const Index *ix = &pm->index;
     Py_ssize_t c, i, d;
 
     for (c = 0; c <= pm->max_cell + 1; c++) {
@@ -320,8 +322,10 @@ scan(PyObject *args, int both)
         PyMem_Free(cs.bits);
         return NULL;
     }
-    candidates_mark(&cs, pm, both ? &pm->directed : &pm->forward, PyBytes_AS_STRING(t));
+    candidates_mark(&cs, pm, PyBytes_AS_STRING(t));
     while (r >= 0 && (d = candidates_pop(&cs)) >= 0) {
+        if (!both && d % 2)
+            continue;
         r = apply(pm, PyBytes_AS_STRING(t), PyBytes_GET_SIZE(t), d, &nb);
         if (r > 0) {
             item = both ? Py_BuildValue("(nOO)", d / 2, d % 2 ? Py_False : Py_True, nb)
@@ -372,7 +376,7 @@ component(PyObject *self, PyObject *args)
             goto done;
         for (i = 0; i < PyList_GET_SIZE(frontier) && !truncated; i++) {
             const char *t = PyBytes_AS_STRING(PyList_GET_ITEM(frontier, i));
-            candidates_mark(&cs, pm, &pm->directed, t);
+            candidates_mark(&cs, pm, t);
             while (!truncated && (d = candidates_pop(&cs)) >= 0) {
                 if ((r = apply(pm, t, n, d, &nb)) < 0)
                     goto done;

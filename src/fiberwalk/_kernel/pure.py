@@ -6,13 +6,16 @@ byte strings double as canonical interning keys.  Moves are precompiled to
 part before any copying.  Moves keep the degree and engine.pack_table caps
 it at 255, so no cell leaves the byte range.
 
-A move can apply only to a table that is nonzero on every cell its
-negative part subtracts from, so pack_moves indexes each forward and each
-directed move by the smallest such cell, and keeps the set of those cells
-as a bit mask.  A scan gathers the moves filed under the table's nonzero
-cells, plus those that subtract nothing, drops those whose mask reaches a
-zero cell, and tries the rest in ascending move order: the results are
-those of trying every move, in the same order.
+Every move is packed twice, forward and reversed, as directed moves.  A
+directed move can apply only to a table that is nonzero on every cell it
+subtracts from, so pack_moves indexes each directed move by the smallest
+such cell, and keeps the set of those cells as a bit mask.  A scan gathers
+the moves filed under the table's nonzero cells, plus those that subtract
+nothing, drops those whose mask reaches a zero cell, and tries the rest in
+ascending order: the results are those of trying every move, in the same
+order.  `forward_neighbors` is that scan filtered to the forward moves; no
+library code calls it, and it stays for the benchmark's tracer, which binds
+every kernel name.
 
 The compiled kernel (_fast.c) implements the same interface with the same
 results, byte for byte.
@@ -60,36 +63,34 @@ def _candidates(t: bytes, index) -> list[int]:
 class PackedMoves:
     """Moves flattened to index/count tuples over a fixed cell indexing.
 
-    Each entry is (sub_idx, sub_cnt, add_idx, add_cnt).  `directed` holds
-    move k forward at position 2k and reversed at 2k + 1, so one scan
-    yields both orientations.  The support indexes of `forward` and
-    `directed` are built here, once.
+    Each entry of `directed` is (sub_idx, sub_cnt, add_idx, add_cnt): move k
+    forward at position 2k and reversed at 2k + 1, so one scan yields both
+    orientations.  Their support index is built here, once.
     """
 
     def __init__(self, moves):
         # moves: list of ((minus_pairs), (plus_pairs)) with pairs = ((idx, cnt), ...)
-        self.forward = []
         self.directed = []
         for minus_pairs, plus_pairs in moves:
             sub = (tuple(i for i, _ in minus_pairs), tuple(c for _, c in minus_pairs))
             add = (tuple(i for i, _ in plus_pairs), tuple(c for _, c in plus_pairs))
-            self.forward.append(sub + add)
             self.directed += [sub + add, add + sub]
-        self.forward_index = _support_index(e[:2] for e in self.forward)
-        self.directed_index = _support_index(e[:2] for e in self.directed)
+        self.index = _support_index(e[:2] for e in self.directed)
 
     def __len__(self):
-        return len(self.forward)
+        return len(self.directed) // 2
 
 
 def pack_moves(moves) -> PackedMoves:
     return PackedMoves(moves)
 
 
-def _images(t: bytes, entries, index):
-    """(position, image) for every entry that applies to t, by position."""
-    for k in _candidates(t, index):
-        sub_i, sub_c, add_i, add_c = entries[k]
+def _images(t: bytes, pm: PackedMoves):
+    """(directed move, image) for every directed move that applies to t,
+    ascending."""
+    entries = pm.directed
+    for d in _candidates(t, pm.index):
+        sub_i, sub_c, add_i, add_c = entries[d]
         for i, c in zip(sub_i, sub_c):
             if t[i] < c:
                 break
@@ -99,17 +100,18 @@ def _images(t: bytes, entries, index):
                 out[i] -= c
             for i, c in zip(add_i, add_c):
                 out[i] += c
-            yield k, bytes(out)
+            yield d, bytes(out)
 
 
 def neighbors_signed(t: bytes, pm: PackedMoves) -> list[tuple[int, bool, bytes]]:
     """One-step images labeled (move index, forward?, image)."""
-    return [(d >> 1, not d & 1, nb) for d, nb in _images(t, pm.directed, pm.directed_index)]
+    return [(d >> 1, not d & 1, nb) for d, nb in _images(t, pm)]
 
 
 def forward_neighbors(t: bytes, pm: PackedMoves) -> list[bytes]:
-    """Forward-orientation images only (enough to see every fiber edge once)."""
-    return [nb for _, nb in _images(t, pm.forward, pm.forward_index)]
+    """Forward-orientation images only: the images of neighbors_signed
+    whose move applied forward."""
+    return [nb for d, nb in _images(t, pm) if not d & 1]
 
 
 def component(start: bytes, pm: PackedMoves, cap: int) -> tuple[set, bool]:
@@ -124,7 +126,7 @@ def component(start: bytes, pm: PackedMoves, cap: int) -> tuple[set, bool]:
         frontier.sort()
         nxt = []
         for t in frontier:
-            for _, nb in _images(t, pm.directed, pm.directed_index):
+            for _, nb in _images(t, pm):
                 if nb not in visited:
                     if len(visited) >= cap:
                         return visited, True

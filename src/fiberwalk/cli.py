@@ -153,19 +153,18 @@ def cmd_check_margins(args):
     graph = _load_graph(args).graph
     am = margin_map(graph)
     witnesses = [w for w in closed_form_primes(graph) if not w.is_toric]
-    mode = "positive-margins" if args.mode == "positive" else "interior-point"
     facets = None
     facet_source = None
-    if mode == "interior-point":
+    if args.mode == "interior":
         if args.facet_source == "family":
-            facets = k2n_facet_inequalities(k2n_shape_of(graph), am, include_mirrored=True)
+            facets = k2n_facet_inequalities(k2n_shape_of(graph), am)
             facet_source = "family-inequalities(mirrored)"
         else:
             facets = cone_facets(am)
             facet_source = "brute-force"
-    verdict = check_margin_property(witnesses, am, mode, facets)
+    verdict = check_margin_property(witnesses, am, facets)
     result = {
-        "mode": mode,
+        "mode": "positive-margins" if args.mode == "positive" else "interior-point",
         "holds": verdict.holds,
         "n_witnesses": len(witnesses),
         "facet_source": facet_source,
@@ -235,7 +234,6 @@ def cmd_family(args):
                 for w in ws
             ]
         return result, 0
-    raise FiberwalkError(f"unknown family request {args.what!r}")
 
 
 def cmd_latin(args):
@@ -262,7 +260,6 @@ def cmd_latin(args):
             "fiber_has_second_element": rep.fiber_has_second_element,
             "isolated_interior_point": rep.isolated_interior_point,
         }, 0
-    raise FiberwalkError(f"unknown latin request {args.what!r}")
 
 
 def cmd_k33(args):
@@ -301,9 +298,9 @@ def _table1_row(name: str) -> dict:
         if count != len(witnesses):
             raise FiberwalkError(f"{count} primes by formula but {len(witnesses)} composed")
     checkable = [w for w in witnesses if not w.is_toric]
-    pos = check_margin_property(checkable, am, "positive-margins")
+    pos = check_margin_property(checkable, am)
     facets = cone_facets(am)
-    interior = check_margin_property(checkable, am, "interior-point", facets)
+    interior = check_margin_property(checkable, am, facets)
     row = {
         "positive_margins": pos.holds,
         "interior_point": interior.holds,
@@ -313,10 +310,8 @@ def _table1_row(name: str) -> dict:
         "n_facets": len(facets),
     }
     if family == "k2n":
-        fam = k2n_facet_inequalities(k2n_shape_of(graph), am, include_mirrored=True)
-        row["interior_point_family_route"] = check_margin_property(
-            checkable, am, "interior-point", fam
-        ).holds
+        fam = k2n_facet_inequalities(k2n_shape_of(graph), am)
+        row["interior_point_family_route"] = check_margin_property(checkable, am, fam).holds
         row["facet_source"] += " + family-inequalities(mirrored)"
     return row
 
@@ -443,7 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--search", action="store_true", help="re-search the witness (slow)")
     sp.add_argument("--on", choices=["k33", "g154"], default="k33",
                     help="model the --search scans")
-    sp.add_argument("--max-pairs", type=nonnegative_int, default=200)
+    sp.add_argument("--max-pairs", type=nonnegative_int, default=200,
+                    help="bound the candidate pairs --search tries after it has enumerated "
+                         "every degree-4 table; any N > 0 still enumerates all of them")
     sp.add_argument("--max-tables", type=nonnegative_int, default=None,
                     help="bound the degree-4 enumeration phase of --search")
     sp.add_argument("--cap", type=int, default=4096)

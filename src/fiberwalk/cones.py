@@ -21,12 +21,7 @@ from math import gcd
 from operator import and_, mul
 from typing import Optional, Sequence
 
-from .errors import (
-    InvalidStateError,
-    InvalidWitnessMoveError,
-    MissingFacetsError,
-    TooLargeError,
-)
+from .errors import InvalidStateError, InvalidWitnessMoveError, TooLargeError
 from .graphs import MarginMap, margins
 from .tables import Move, Table
 
@@ -197,6 +192,11 @@ def _extreme_rays(constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return rays
 
 
+def _check_column_budget(n: int) -> None:
+    if n > MAX_FACET_COLUMNS:
+        raise TooLargeError(f"{n} columns exceed the budget of {MAX_FACET_COLUMNS}")
+
+
 def facets_of_columns(
     columns: list[tuple[int, ...]], basis_idx: Optional[Sequence[int]] = None
 ) -> list[Functional]:
@@ -211,8 +211,7 @@ def facets_of_columns(
     """
     cols = [tuple(c) for c in columns]
     nonzero = [c for c in cols if any(c)]
-    if len(nonzero) > MAX_FACET_COLUMNS:
-        raise TooLargeError(f"{len(nonzero)} columns exceed the budget of {MAX_FACET_COLUMNS}")
+    _check_column_budget(len(nonzero))
     if not nonzero:
         return []
     if basis_idx is None:
@@ -231,7 +230,12 @@ def facets_of_columns(
 
 
 def cone_facets(am: MarginMap) -> list[Functional]:
-    """Facets of the marginal cone (generated by the matrix columns)."""
+    """Facets of the marginal cone (generated by the matrix columns).
+
+    Margin-map columns are never zero, so the column budget is checked on
+    n_cols before `column_basis` runs its elimination.
+    """
+    _check_column_budget(am.n_cols)
     return facets_of_columns(am.columns(), am.column_basis)
 
 
@@ -239,10 +243,8 @@ def is_strictly_positive(y: Sequence[int]) -> bool:
     return all(v > 0 for v in y)
 
 
-def is_relative_interior(am: MarginMap, y: Sequence[int], facets: Optional[list[Functional]]) -> bool:
+def is_relative_interior(am: MarginMap, y: Sequence[int], facets: Sequence[Functional]) -> bool:
     """True iff y avoids every facet (strictly inside its span's cone)."""
-    if facets is None:
-        raise MissingFacetsError("relative-interior test needs the facet list")
     am.validate_key(tuple(y))
     return all(f.evaluate(y) > 0 for f in facets)
 
@@ -250,9 +252,7 @@ def is_relative_interior(am: MarginMap, y: Sequence[int], facets: Optional[list[
 @dataclass
 class PropertyVerdict:
     holds: bool
-    mode: str
     failing_witness: Optional[object] = None  # PrimeWitness
-    margin_profile: dict = None  # per-witness evaluation record
 
     def __bool__(self) -> bool:
         return self.holds
@@ -261,41 +261,24 @@ class PropertyVerdict:
 def check_margin_property(
     witnesses: Sequence[object],
     am: MarginMap,
-    mode: str,
     facets: Optional[Sequence[Functional]] = None,
 ) -> PropertyVerdict:
     """Decide a margin property from prime-witness monomials.
 
-    positive-margins: every witness must have a zero margin entry.
-    interior-point:   every witness must sit on a valid inequality, i.e.
-    some margin row or some supplied facet functional vanishes on it
-    (margin rows are themselves valid inequalities of the cone).
+    Without facets, positive margins: every witness must have a zero margin
+    entry.  With facets, interior point: every witness must sit on a valid
+    inequality, i.e. some margin row or some given facet functional vanishes
+    on it (margin rows are themselves valid inequalities of the cone).  The
+    failing witness is the first by id that does not; the check stops there.
     """
-    if mode not in ("positive-margins", "interior-point"):
-        raise InvalidStateError(f"unknown mode {mode!r}")
-    if mode == "interior-point" and facets is None:
-        raise MissingFacetsError("interior-point mode needs facets (or family functionals)")
-    profile = {}
-    failing = None
-    holds = True
     for w in sorted(witnesses, key=lambda w: w.id):
         if w.table is None:
             raise InvalidStateError(f"{w.id}: toric marker has no witness monomial")
         y = margins(am, w.table)
-        zero_rows = [i for i, v in enumerate(y) if v == 0]
-        record = {"zero_margin_rows": zero_rows}
-        if mode == "positive-margins":
-            ok = bool(zero_rows)
-        else:
-            tight = [i for i, f in enumerate(facets) if f.evaluate(y) == 0]
-            record["tight_facets"] = tight
-            ok = bool(zero_rows) or bool(tight)
-        record["ok"] = ok
-        profile[w.id] = record
-        if not ok and failing is None:
-            failing = w
-            holds = False
-    return PropertyVerdict(holds=holds, mode=mode, failing_witness=failing, margin_profile=profile)
+        if 0 in y or (facets is not None and any(f.evaluate(y) == 0 for f in facets)):
+            continue
+        return PropertyVerdict(holds=False, failing_witness=w)
+    return PropertyVerdict(holds=True)
 
 
 def move_avoids_variables(f: Move, variables: frozenset) -> bool:
@@ -311,12 +294,7 @@ def find_disconnecting_move(moves: Sequence[Move], witness) -> Move:
     raise InvalidWitnessMoveError(f"no supplied move avoids the variables of {witness.id}")
 
 
-def build_disconnection_witness(
-    witness,
-    f: Move,
-    c: int,
-    am: Optional[MarginMap] = None,
-) -> tuple[Table, Table]:
+def build_disconnection_witness(witness, f: Move, c: int, am: MarginMap) -> tuple[Table, Table]:
     """The pair (f.plus + c*u_P, f.minus + c*u_P) used to split a fat fiber."""
     if c < 0:
         raise InvalidStateError("multiplier c must be nonnegative")
@@ -326,6 +304,6 @@ def build_disconnection_witness(
         raise InvalidWitnessMoveError("move touches the prime's generating variables")
     pad = witness.table.scale(c)
     u, v = f.plus + pad, f.minus + pad
-    if am is not None and margins(am, u) != margins(am, v):
+    if margins(am, u) != margins(am, v):
         raise AssertionError("disconnection pair has unequal margins; move not margin-neutral")
     return (u, v)

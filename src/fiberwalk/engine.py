@@ -318,7 +318,6 @@ def verify_markov_basis(
     moves: Sequence[Move],
     am: MarginMap,
     degree_bound: int,
-    table_budget: int = DEFAULT_TABLE_BUDGET,
 ) -> BasisVerdict:
     """Extensional check: do the moves connect every fiber up to a degree?
 
@@ -337,7 +336,7 @@ def verify_markov_basis(
     components.
 
     Raises TooLargeError when degree_bound exceeds the one-byte cell range
-    or the tables would exceed table_budget, before enumerating any.
+    or the tables would exceed DEFAULT_TABLE_BUDGET, before enumerating any.
     """
     if degree_bound < 1:
         raise TooLargeError("degree bound must be >= 1")
@@ -347,9 +346,9 @@ def verify_markov_basis(
         )
     n = am.n_cols
     total = sum(comb(n + d - 1, d) for d in range(1, degree_bound + 1))
-    if total > table_budget:
+    if total > DEFAULT_TABLE_BUDGET:
         raise TooLargeError(
-            f"degree {degree_bound} needs {total} tables (> budget {table_budget})"
+            f"degree {degree_bound} needs {total} tables (> budget {DEFAULT_TABLE_BUDGET})"
         )
     space = am.space
     codes = _cell_codes(am, degree_bound.bit_length() + 1)

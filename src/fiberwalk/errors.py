@@ -37,10 +37,6 @@ class IncompatibleShapeError(FiberwalkError):
     """Objects over different state spaces or row sets were combined."""
 
 
-class MissingFacetsError(FiberwalkError):
-    """Interior-point check requested without a facet list."""
-
-
 class InvalidWitnessMoveError(FiberwalkError):
     """The move offered for a disconnection witness touches the prime's variables."""
 

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 from .cones import Functional
 from .errors import InvalidStateError, NoClosedFormError, TooLargeError, UnsupportedLevelsError
-from .graphs import LabeledGraph, MarginMap, cone_graph, margin_map
+from .graphs import LabeledGraph, MarginMap, cone_graph
 from .tables import Move, State, StateSpace, Table, dedup_moves
 
 
@@ -39,8 +39,8 @@ class PrimeWitness:
         return self.table is None
 
 
-def toric_marker(origin: str = "toric") -> PrimeWitness:
-    return PrimeWitness(id="toric", variables=frozenset(), table=None, origin=origin)
+def toric_marker() -> PrimeWitness:
+    return PrimeWitness(id="toric", variables=frozenset(), table=None, origin="toric")
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +150,10 @@ def cycle_quartic_moves(n: int) -> list[Move]:
     return dedup_moves(moves)
 
 
-def cycle_markov_basis(n: int, allow_three_cycle: bool = False) -> list[Move]:
+def cycle_markov_basis(n: int) -> list[Move]:
     """Quadratic plus quartic moves connecting every fiber of the binary n-cycle."""
     if n < 4:
-        if n == 3 and allow_three_cycle:
-            # the lone quartic of the no-three-way interaction model
-            return cycle_quartic_moves(3)
-        raise UnsupportedLevelsError(
-            "cycle basis needs n >= 4 (n=3 available via allow_three_cycle)"
-        )
+        raise UnsupportedLevelsError("cycle basis needs n >= 4")
     return dedup_moves(cycle_quadratic_moves(n) + cycle_quartic_moves(n))
 
 
@@ -401,24 +396,20 @@ def k2n_prime_witnesses(shape: K2NShape) -> list[PrimeWitness]:
     return out
 
 
-def k2n_facet_inequalities(
-    shape: K2NShape, am: Optional[MarginMap] = None, include_mirrored: bool = False
-) -> list[Functional]:
-    """The explicit valid inequalities of the bipartite marginal cone.
+def k2n_facet_inequalities(shape: K2NShape, am: MarginMap) -> list[Functional]:
+    """The explicit valid inequalities of the bipartite marginal cone, whose
+    margin map `am` is that of `k2n_graph(shape)`.
 
-    One functional per (a < b, C, D): the (1,a)-margins over C, plus the
+    One functional per (a != b, C, D): the (1,a)-margins over C, plus the
     (2,a)-margins over the complement of C, plus the (2,b)-margins at
     x_2=1 over D, minus the (1,b)-margins at x_1=1 over D.
 
-    With include_mirrored=True the pairs run ordered (a != b); the mirrored
-    half is the image of the base family under swapping the two
-    distinguished second-group vertices and is needed to pin every slice
-    prime onto a vanishing functional (P(a,C,b,D) vanishes exactly on the
-    functional with indices (a, C, b, complement of D)).
+    The pairs run ordered: the half with a > b is the image of the half
+    with a < b under swapping the two distinguished second-group vertices,
+    and is needed to pin every slice prime onto a vanishing functional
+    (P(a,C,b,D) vanishes exactly on the functional with indices
+    (a, C, b, complement of D)).
     """
-    g = k2n_graph(shape)
-    if am is None:
-        am = margin_map(g)
     n = shape.n_total
 
     def row(i: int, a: int, xi: int, xa: int) -> int:
@@ -428,8 +419,7 @@ def k2n_facet_inequalities(
 
     out = []
     free = list(range(3, n + 1))
-    pairs = itertools.permutations(free, 2) if include_mirrored else itertools.combinations(free, 2)
-    for a, b in pairs:
+    for a, b in itertools.permutations(free, 2):
         da, db = shape.level_of(a), shape.level_of(b)
         c_subsets = [
             set(c) for r in range(1, da) for c in itertools.combinations(range(1, da + 1), r)

@@ -2,8 +2,8 @@
 
 The graph-side operations: graphical separation, enumeration of the
 covering conditional-independence statements, the quadratic swap moves
-those statements induce, the 0/1 clique-marginal matrix, and structural
-tests (chordality, clique-separator reducibility, coning).
+those statements induce, the 0/1 clique-marginal matrix, the components
+left after removing vertices, and coning.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Iterable, Optional
+from typing import FrozenSet, Iterable
 
 from .errors import IncompatibleShapeError, InvalidPartitionError, InvalidStateError, TooLargeError
 from .tables import Move, StateSpace, Table, dedup_moves, state_index
@@ -54,9 +54,6 @@ class LabeledGraph:
     @property
     def vertices(self) -> range:
         return range(1, self.n_vertices + 1)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
 
     @cached_property
     def adjacency(self) -> dict[int, frozenset[int]]:
@@ -315,32 +312,6 @@ def margins(am: MarginMap, t: Table) -> tuple[int, ...]:
     return am.margins(t)
 
 
-def is_chordal(g: LabeledGraph) -> bool:
-    """Maximum-cardinality search followed by a perfect-elimination check."""
-    adj = g.adjacency
-    weight = {v: 0 for v in g.vertices}
-    order = []
-    remaining = set(g.vertices)
-    while remaining:
-        v = max(sorted(remaining), key=lambda u: weight[u])
-        order.append(v)
-        remaining.discard(v)
-        for w in adj[v]:
-            if w in remaining:
-                weight[w] += 1
-    pos = {v: i for i, v in enumerate(order)}
-    # v's earlier neighbors must form a clique, witnessed by the latest of them
-    for v in order:
-        earlier = [w for w in adj[v] if pos[w] < pos[v]]
-        if not earlier:
-            continue
-        u = max(earlier, key=lambda w: pos[w])
-        for w in earlier:
-            if w != u and not g.has_edge(u, w):
-                return False
-    return True
-
-
 def components_without(g: LabeledGraph, removed: frozenset[int]) -> list[frozenset[int]]:
     left = [v for v in g.vertices if v not in removed]
     seen = set()
@@ -360,31 +331,6 @@ def components_without(g: LabeledGraph, removed: frozenset[int]) -> list[frozens
                     stack.append(w)
         comps.append(frozenset(comp))
     return sorted(comps, key=lambda c: sorted(c))
-
-
-def all_cliques(g: LabeledGraph) -> list[tuple[int, ...]]:
-    """Every clique including the empty one, by size then lexicographically."""
-    out = {()}
-    for mc in maximal_cliques(g):
-        for k in range(1, len(mc) + 1):
-            out.update(itertools.combinations(mc, k))
-    return sorted(out, key=lambda c: (len(c), c))
-
-
-def reducible_split(g: LabeledGraph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
-    """A clique-separator split (V1, V2) if one exists, else None.
-
-    Tries every clique (including the empty set) as separator, smallest
-    first; V1 is the separator plus the first component.
-    """
-    for cl in all_cliques(g):
-        sep = frozenset(cl)
-        comps = components_without(g, sep)
-        if len(comps) >= 2:
-            v1 = sep | comps[0]
-            v2 = sep | frozenset().union(*comps[1:])
-            return (v1, v2)
-    return None
 
 
 def cone_graph(g: LabeledGraph, d0: int) -> LabeledGraph:

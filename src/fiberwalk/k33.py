@@ -19,6 +19,9 @@ from .errors import InvalidStateError
 from .graphs import LabeledGraph, global_markov_moves, margin_map, margins
 from .tables import Table
 
+# closures larger than this leave a search candidate undecided
+SEARCH_COMPONENT_CAP = 512
+
 
 def k33_graph() -> LabeledGraph:
     edges = [(i, j) for i in (1, 2, 3) for j in (4, 5, 6)]
@@ -91,7 +94,6 @@ def k33_run(cap: int = 4096) -> dict:
 
 def k33_search(
     max_pairs: int = 200,
-    component_cap: int = 512,
     max_tables: Optional[int] = None,
     graph: Optional[LabeledGraph] = None,
 ) -> Optional[dict]:
@@ -99,8 +101,9 @@ def k33_search(
 
     Scans equal-margin degree-4 table pairs that the quadratic moves fail
     to connect, then degree-2 cofactors w with (u+w, v+w) still split but
-    (u+2w, v+2w) joined.  Bounded by max_pairs candidate pairs and
-    optionally max_tables enumerated tables; returns the first witness
+    (u+2w, v+2w) joined.  Every degree-4 0/1 table is enumerated first
+    (635,376 on K(3,3)); only max_tables bounds that phase, and max_pairs
+    bounds the candidate pairs tried after it.  Returns the first witness
     found or None.  Nothing is asserted about the outcome.
     """
     if max_pairs == 0:
@@ -119,7 +122,7 @@ def k33_search(
         by_margin.setdefault(margins(am, t), []).append(t)
 
     def split(u: Table, v: Table, pad: Table) -> Optional[bool]:
-        comp = connected_component(u + pad, moves, space, node_cap=component_cap)
+        comp = connected_component(u + pad, moves, space, node_cap=SEARCH_COMPONENT_CAP)
         if comp.truncated:
             return None
         return not comp.contains(v + pad)

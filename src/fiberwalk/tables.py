@@ -13,12 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import (
-    InvalidMoveError,
-    InvalidStateError,
-    MoveNotApplicableError,
-    UnsupportedLevelsError,
-)
+from .errors import InvalidMoveError, InvalidStateError, MoveNotApplicableError
 
 State = tuple[int, ...]
 
@@ -80,25 +75,6 @@ def state_index(x: State, space: StateSpace) -> int:
     for c, d in zip(x, space.levels):
         idx = idx * d + (c - 1)
     return idx
-
-
-def state_at(idx: int, space: StateSpace) -> State:
-    """Inverse of state_index."""
-    if not 0 <= idx < space.total_cells:
-        raise InvalidStateError(f"index {idx} outside 0..{space.total_cells - 1}")
-    coords = []
-    for d in reversed(space.levels):
-        coords.append(idx % d + 1)
-        idx //= d
-    return tuple(reversed(coords))
-
-
-def opposite_state(x: State, space: StateSpace) -> State:
-    """Flip 1 <-> 2 in every coordinate; binary spaces only."""
-    if any(d != 2 for d in space.levels):
-        raise UnsupportedLevelsError(f"opposite state needs all-binary levels, got {space.levels}")
-    space.check_state(x)
-    return tuple(3 - c for c in x)
 
 
 class Table:

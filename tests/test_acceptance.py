@@ -87,25 +87,24 @@ def test_criterion_2_property_verdicts():
             g = resolve(name).graph
             am = margin_map(g)
             ws = [w for w in witnesses[name] if not w.is_toric]
-            pos = check_margin_property(ws, am, "positive-margins").holds
+            pos = check_margin_property(ws, am).holds
             facets = cone_facets(am)
-            interior = check_margin_property(ws, am, "interior-point", facets).holds
+            interior = check_margin_property(ws, am, facets).holds
             assert (pos, interior) == (want_pos, want_int), name
 
         # the bipartite model double-checked via the explicit inequality family
         shape = K2NShape((2, 2, 2))
         am = margin_map(k2n_graph(shape))
         ws = [w for w in k2n_prime_witnesses(shape) if not w.is_toric]
-        fam = k2n_facet_inequalities(shape, am, include_mirrored=True)
-        assert check_margin_property(ws, am, "interior-point", fam).holds
-        # and each of the 12 base inequalities is itself a brute-force facet
-        base = k2n_facet_inequalities(shape, am)
-        assert len(base) == 12
+        fam = k2n_facet_inequalities(shape, am)
+        assert check_margin_property(ws, am, fam).holds
+        # and each of the 24 inequalities is itself a brute-force facet
+        assert len(fam) == 24
         cols = am.columns()
         facet_evals = {
             _reduce(tuple(f.evaluate(c) for c in cols)) for f in cone_facets(am)
         }
-        for f in base:
+        for f in fam:
             assert _reduce(tuple(f.evaluate(c) for c in cols)) in facet_evals
 
 
@@ -229,6 +228,6 @@ def test_criterion_8_invariant_suites():
         for free in ((2, 2), (2, 2, 2), (2, 2, 2, 2)):
             shape = K2NShape(free)
             am = margin_map(k2n_graph(shape))
-            fam = k2n_facet_inequalities(shape, am, include_mirrored=True)
+            fam = k2n_facet_inequalities(shape, am)
             for col in am.columns():
                 assert all(f.evaluate(col) >= 0 for f in fam)

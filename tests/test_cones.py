@@ -22,7 +22,7 @@ from fiberwalk.cones import (
     is_relative_interior,
     is_strictly_positive,
 )
-from fiberwalk.errors import InvalidWitnessMoveError, MissingFacetsError, TooLargeError
+from fiberwalk.errors import InvalidWitnessMoveError, TooLargeError
 from fiberwalk.families import (
     cycle_prime_witnesses,
     k2n_facet_inequalities,
@@ -46,6 +46,17 @@ def test_facets_single_ray_empty():
 def test_facets_column_budget():
     with pytest.raises(TooLargeError):
         facets_of_columns([(1, i) for i in range(200)])
+
+
+def test_cone_facets_refuses_wide_maps_before_elimination(monkeypatch):
+    from fiberwalk import cones
+
+    calls = []
+    monkeypatch.setattr(cones, "_independent_subset", lambda vectors: calls.append(1) or [])
+    am = margin_map(resolve("k2n", k2n_levels=(2, 80)).graph)
+    with pytest.raises(TooLargeError, match="640 columns exceed the budget of 128"):
+        cone_facets(am)
+    assert calls == []
 
 
 # facet count and sha256 of the sorted facet list (compact JSON) per preset:
@@ -254,7 +265,7 @@ def test_k22_facets_contain_family_inequalities(k22, k22_shape):
     cols = am.columns()
     facet_evals = {_reduce(tuple(f.evaluate(c) for c in cols)) for f in cone_facets(am)}
     fam = k2n_facet_inequalities(k22_shape, am)
-    assert len(fam) == 4
+    assert len(fam) == 8
     for f in fam:
         ev = _reduce(tuple(f.evaluate(c) for c in cols))
         assert ev in facet_evals
@@ -273,8 +284,6 @@ def test_relative_interior_full_table(c4):
     assert is_relative_interior(am, margins(am, full), facets)
     unit = Table.unit((1, 1, 1, 1))
     assert not is_relative_interior(am, margins(am, unit), facets)
-    with pytest.raises(MissingFacetsError):
-        is_relative_interior(am, margins(am, full), None)
 
 
 def test_relative_interior_seth_margins(preset_facets):
@@ -319,19 +328,19 @@ def test_cycle_witness_margins_fail_strict_positivity(c4):
 def test_check_margin_property_c4(c4):
     am = margin_map(c4)
     ws = [w for w in cycle_prime_witnesses(4) if not w.is_toric]
-    assert check_margin_property(ws, am, "positive-margins").holds
-    assert check_margin_property(ws, am, "interior-point", cone_facets(am)).holds
+    assert check_margin_property(ws, am).holds
+    assert check_margin_property(ws, am, cone_facets(am)).holds
 
 
 def test_check_margin_property_k23(k23, k23_shape):
     am = margin_map(k23)
     ws = [w for w in k2n_prime_witnesses(k23_shape) if not w.is_toric]
-    verdict = check_margin_property(ws, am, "positive-margins")
+    verdict = check_margin_property(ws, am)
     assert not verdict.holds
     assert verdict.failing_witness.id == "P[a=3,C={1},b=4,D={1}]"
-    assert check_margin_property(ws, am, "interior-point", cone_facets(am)).holds
-    fam = k2n_facet_inequalities(k23_shape, am, include_mirrored=True)
-    assert check_margin_property(ws, am, "interior-point", fam).holds
+    assert check_margin_property(ws, am, cone_facets(am)).holds
+    fam = k2n_facet_inequalities(k23_shape, am)
+    assert check_margin_property(ws, am, fam).holds
 
 
 def test_check_margin_property_permutation_invariant(k23, k23_shape):
@@ -340,16 +349,10 @@ def test_check_margin_property_permutation_invariant(k23, k23_shape):
     rng = random.Random(23)
     shuffled = ws[:]
     rng.shuffle(shuffled)
-    a = check_margin_property(ws, am, "positive-margins")
-    b = check_margin_property(shuffled, am, "positive-margins")
+    a = check_margin_property(ws, am)
+    b = check_margin_property(shuffled, am)
     assert a.holds == b.holds
     assert a.failing_witness.id == b.failing_witness.id
-
-
-def test_interior_mode_requires_facets(c4):
-    ws = [w for w in cycle_prime_witnesses(4) if not w.is_toric]
-    with pytest.raises(MissingFacetsError):
-        check_margin_property(ws, margin_map(c4), "interior-point")
 
 
 def test_build_disconnection_witness(k23, k23_shape):
@@ -366,7 +369,7 @@ def test_build_disconnection_witness(k23, k23_shape):
     assert is_strictly_positive(margins(am, u))
 
 
-def test_build_disconnection_witness_rejects_touching_move(k23_shape):
+def test_build_disconnection_witness_rejects_touching_move(k23, k23_shape):
     w = next(
         x for x in k2n_prime_witnesses(k23_shape) if x.id == "P[a=3,C={1},b=4,D={1}]"
     )
@@ -374,7 +377,7 @@ def test_build_disconnection_witness_rejects_touching_move(k23_shape):
     other = sorted(w.table.support)[0]
     bad = Move(Table({var: 1}), Table({other: 1}))
     with pytest.raises(InvalidWitnessMoveError):
-        build_disconnection_witness(w, bad, 1)
+        build_disconnection_witness(w, bad, 1, margin_map(k23))
 
 
 def test_functional_primitive():

@@ -58,7 +58,8 @@ def test_cycle_quartic_pinned_example():
 def test_cycle_basis_guards():
     with pytest.raises(UnsupportedLevelsError):
         cycle_markov_basis(3)
-    only = cycle_markov_basis(3, allow_three_cycle=True)
+    # the lone quartic of the no-three-way interaction model
+    only = cycle_quartic_moves(3)
     assert len(only) == 1 and only[0].degree == 4
     assert cycle_quadratic_moves(3) == []
 
@@ -173,17 +174,17 @@ def test_k2n_quads_touch_primes_symmetrically(k23_shape):
             )
 
 
-def test_facet_inequality_counts(k22_shape, k23_shape):
-    assert len(k2n_facet_inequalities(k22_shape)) == 4
-    assert len(k2n_facet_inequalities(k23_shape)) == 12
-    assert len(k2n_facet_inequalities(k23_shape, include_mirrored=True)) == 24
+def test_facet_inequality_counts(k22, k22_shape, k23, k23_shape):
+    for g, shape, count in ((k22, k22_shape, 8), (k23, k23_shape, 24)):
+        fams = k2n_facet_inequalities(shape, margin_map(g))
+        assert len(fams) == len(set(fams)) == count
 
 
 @pytest.mark.parametrize("free", [(2, 2), (2, 2, 2), (2, 2, 2, 2)])
 def test_facet_inequalities_valid_on_unit_tables(free):
     shape = K2NShape(free)
     am = margin_map(k2n_graph(shape))
-    fams = k2n_facet_inequalities(shape, am, include_mirrored=True)
+    fams = k2n_facet_inequalities(shape, am)
     for col in am.columns():
         assert all(f.evaluate(col) >= 0 for f in fams)
 
@@ -194,7 +195,7 @@ def test_matching_functional_vanishes_on_slice_primes(k23_shape):
     import re
 
     am = margin_map(k2n_graph(k23_shape))
-    fams = k2n_facet_inequalities(k23_shape, am, include_mirrored=True)
+    fams = k2n_facet_inequalities(k23_shape, am)
     for w in k2n_prime_witnesses(k23_shape):
         if w.is_toric:
             continue

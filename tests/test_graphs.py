@@ -11,11 +11,9 @@ from fiberwalk.graphs import (
     cone_graph,
     global_markov_moves,
     global_markov_statements,
-    is_chordal,
     margin_map,
     margins,
     maximal_cliques,
-    reducible_split,
     separates,
 )
 from fiberwalk.tables import Move, Table
@@ -175,28 +173,6 @@ def test_margins_seth_table_all_ones():
     assert margins(am, preset.pinned_table) == (1,) * 36
 
 
-def test_is_chordal(c4, k23):
-    assert not is_chordal(c4)
-    assert not is_chordal(k23)
-    tree = LabeledGraph.build(5, [(1, 2), (1, 3), (3, 4), (3, 5)], [2] * 5)
-    assert is_chordal(tree)
-    path = LabeledGraph.build(4, [(1, 2), (2, 3), (3, 4)], [2] * 4)
-    assert is_chordal(path)
-
-
-def test_reducible_split(c5, k23):
-    path = LabeledGraph.build(3, [(1, 2), (2, 3)], [2] * 3)
-    assert reducible_split(path) == (frozenset({1, 2}), frozenset({2, 3}))
-    assert reducible_split(c5) is None
-    assert reducible_split(k23) is None
-
-
-def test_reducible_split_disconnected():
-    g = LabeledGraph.build(4, [(1, 2), (3, 4)], [2] * 4)
-    v1, v2 = reducible_split(g)
-    assert v1 | v2 == {1, 2, 3, 4} and not (v1 & v2)
-
-
 def test_cone_graph(c4, k3):
     pyr = cone_graph(c4, 2)
     assert pyr.n_vertices == 5 and len(pyr.edges) == 8
@@ -212,6 +188,5 @@ def test_chordal_graphs_fibers_connected_by_quadrics():
 
     for edges, n in [([(1, 2), (2, 3)], 3), ([(1, 2), (2, 3), (1, 3), (3, 4)], 4)]:
         g = LabeledGraph.build(n, edges, [2] * n)
-        assert is_chordal(g)
         verdict = verify_markov_basis(global_markov_moves(g), margin_map(g), 4)
         assert verdict.passed

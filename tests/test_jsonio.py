@@ -1,3 +1,6 @@
+import itertools
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,8 +9,8 @@ from fiberwalk import jsonio
 from fiberwalk.engine import MAX_PACKED_DEGREE, unpack_table
 from fiberwalk.errors import InvalidStateError
 from fiberwalk.families import cycle_graph
-from fiberwalk.graphs import global_markov_moves
-from fiberwalk.tables import StateSpace, Table
+from fiberwalk.graphs import LabeledGraph, global_markov_moves
+from fiberwalk.tables import Move, StateSpace, Table
 
 
 def test_graph_roundtrip(c4):
@@ -74,3 +77,59 @@ def test_packed_table_to_json_matches_the_table_path(packed):
     assert jsonio.packed_table_to_json(b, space) == jsonio.table_to_json(
         unpack_table(b, space), space
     )
+
+
+# each *_to_json -> JSON text -> *_from_json round trip is the identity
+
+
+def via_text(data):
+    return json.loads(json.dumps(data))
+
+
+spaces = st.lists(st.integers(2, 4), min_size=1, max_size=4).map(lambda d: StateSpace(tuple(d)))
+
+
+@st.composite
+def tables(draw):
+    space = draw(spaces)
+    cells = st.dictionaries(st.sampled_from(space.states_by_index), st.integers(1, 300),
+                            max_size=8)
+    return Table(draw(cells)), space
+
+
+@st.composite
+def moves(draw):
+    """A move with disjoint parts of equal degree on a random space."""
+    space = draw(spaces)
+    states = space.states_by_index
+    plus = draw(st.dictionaries(st.sampled_from(states), st.integers(1, 4), min_size=1,
+                                max_size=min(4, len(states) - 1)))
+    rest = [s for s in states if s not in plus]
+    minus = draw(st.lists(st.sampled_from(rest), min_size=sum(plus.values()),
+                          max_size=sum(plus.values())))
+    return Move(Table(plus), Table([(s, 1) for s in minus]))
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(2, 7))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    levels = draw(st.lists(st.integers(2, 5), min_size=n, max_size=n))
+    return LabeledGraph.build(n, edges, levels)
+
+
+@given(tables())
+def test_table_json_roundtrip_property(case):
+    t, space = case
+    assert jsonio.table_from_json(via_text(jsonio.table_to_json(t, space))) == (t, space)
+
+
+@given(st.lists(moves(), max_size=4))
+def test_moves_json_roundtrip_property(ms):
+    assert jsonio.moves_from_json(via_text(jsonio.moves_to_json(ms))) == ms
+
+
+@given(graphs())
+def test_graph_json_roundtrip_property(g):
+    assert jsonio.graph_from_json(via_text(jsonio.graph_to_json(g))) == g

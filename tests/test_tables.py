@@ -4,20 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fiberwalk.errors import (
-    InvalidMoveError,
-    InvalidStateError,
-    MoveNotApplicableError,
-    UnsupportedLevelsError,
-)
+from fiberwalk.errors import InvalidMoveError, InvalidStateError, MoveNotApplicableError
 from fiberwalk.tables import (
     Move,
     StateSpace,
     Table,
     apply_move,
     dedup_moves,
-    opposite_state,
-    state_at,
     state_index,
 )
 
@@ -45,7 +38,7 @@ def test_state_index_bijection_and_monotone(levels):
     seen = []
     for x in s.states():
         seen.append(state_index(x, s))
-        assert state_at(seen[-1], s) == x
+        assert s.states_by_index[seen[-1]] == x
     assert seen == list(range(s.total_cells))
     states = sorted(s.states())
     assert [state_index(x, s) for x in states] == sorted(seen)
@@ -84,37 +77,35 @@ def test_apply_move_entrywise():
     assert apply_move(t, SWAP) == Table({(1, 1): 1, (1, 2): 1, (2, 1): 1})
 
 
-def test_apply_then_reverse_roundtrip_random():
-    rng = random.Random(7)
-    space = StateSpace((2, 2, 3))
-    states = list(space.states())
-    for _ in range(200):
-        cells = {s: rng.randint(1, 4) for s in rng.sample(states, k=rng.randint(2, 6))}
-        t = Table(cells)
-        support = list(t.support)
-        minus_s = rng.sample(support, k=2)
-        plus_pool = [s for s in states if s not in minus_s]
-        plus_s = rng.sample(plus_pool, k=2)
-        m = Move(Table({plus_s[0]: 1, plus_s[1]: 1}), Table({minus_s[0]: 1, minus_s[1]: 1}))
+@st.composite
+def move_cases(draw):
+    """A table and a move over one small space; half the time the table is
+    lifted by the move's negative part, so the move applies."""
+    space = StateSpace(tuple(draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))))
+    state = st.sampled_from(space.states_by_index)
+    plus = draw(st.dictionaries(state, st.integers(1, 3), min_size=1,
+                                max_size=min(3, space.total_cells - 1)))
+    rest = [s for s in space.states_by_index if s not in plus]
+    minus = draw(st.lists(st.sampled_from(rest), min_size=sum(plus.values()),
+                          max_size=sum(plus.values())))
+    m = Move(Table(plus), Table([(s, 1) for s in minus]))
+    t = Table(draw(st.dictionaries(state, st.integers(1, 3), max_size=6)))
+    if draw(st.booleans()):
+        t = t + m.minus
+    return t, m
+
+
+@given(move_cases())
+def test_apply_then_reverse_roundtrip_random(case):
+    t, m = case
+    if all(t.get(s) >= c for s, c in m.minus.items()):
         out = apply_move(t, m)
         assert out.degree == t.degree
         assert all(c > 0 for _, c in out.items())
         assert apply_move(out, m.reverse()) == t
-
-
-def test_opposite_state():
-    s4 = StateSpace((2, 2, 2, 2))
-    assert opposite_state((1, 1, 1, 1), s4) == (2, 2, 2, 2)
-    s3 = StateSpace((2, 2, 2))
-    assert opposite_state((1, 2, 1), s3) == (2, 1, 2)
-    for x in s4.states():
-        assert opposite_state(opposite_state(x, s4), s4) == x
-        assert all(a != b for a, b in zip(x, opposite_state(x, s4)))
-
-
-def test_opposite_state_guard():
-    with pytest.raises(UnsupportedLevelsError):
-        opposite_state((1, 2, 1), StateSpace((2, 3, 2)))
+    else:
+        with pytest.raises(MoveNotApplicableError):
+            apply_move(t, m)
 
 
 def test_table_equality_is_canonical():
@@ -154,6 +145,6 @@ def test_canonical_orientation_and_dedup():
 def test_states_by_index_is_state_at_and_sorted(levels):
     space = StateSpace(tuple(levels))
     states = space.states_by_index
-    assert states == tuple(state_at(i, space) for i in range(space.total_cells))
+    assert [state_index(x, space) for x in states] == list(range(space.total_cells))
     assert list(states) == sorted(states)
     assert space.states_by_index is states
