@@ -10,6 +10,13 @@ those of trying every move.  The compiled `_fast` extension is used when it
 was built (`python setup.py build_ext --inplace`), otherwise the
 pure-Python `pure` module.  Set FIBERWALK_PURE=1 to force the fallback.
 
+Tables cross the interface as bytes, one byte per cell.  `_fast` copies
+and edits those bytes in C.  `pure` turns a table into one Python int with
+a 16-bit field per cell and applies a move with one subtraction, one mask
+test and one addition; its `_images` is the one path that makes images, for
+`component` (which keeps ints until it returns) and for `neighbors_signed`
+and `forward_neighbors` (which decode each image).
+
 `forward_neighbors` is the same scan filtered to the forward moves.  It has
 no caller in the library: `engine.verify_markov_basis` builds its edges
 from the moves instead.  It stays in the interface because the benchmark's

@@ -31,6 +31,7 @@ from .engine import are_connected, connected_component, verify_markov_basis
 from .errors import FiberwalkError
 from .families import (
     K2NShape,
+    check_cycle_size,
     closed_form_family,
     closed_form_primes,
     cycle_graph,
@@ -91,7 +92,7 @@ def cmd_component(args):
     rep = connected_component(start, moves, preset.space, node_cap=args.cap)
     result = {"size": rep.size, "truncated": rep.truncated}
     if rep.packed is not None and (rep.size <= MEMBER_DUMP_LIMIT or args.dump):
-        result["members"] = [jsonio.packed_table_to_json(b, preset.space) for b in rep.packed]
+        result["members"] = jsonio.packed_tables_to_json(rep.packed, preset.space)
     return result, 0
 
 
@@ -218,6 +219,7 @@ def cmd_family(args):
         if args.graph == "cycle":
             if args.n is None:
                 raise FiberwalkError("family primes --graph cycle needs --n")
+            check_cycle_size(args.n)  # before the graph, which is O(n) to build
             graph = cycle_graph(args.n)
         else:
             graph = resolve("k2n", k2n_levels=tuple(args.levels or ())).graph

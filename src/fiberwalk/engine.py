@@ -17,8 +17,9 @@ is its negative part plus a table s of lower degree, so its edges are
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Optional, Sequence
 
@@ -50,12 +51,24 @@ def unpack_table(b: bytes, space: StateSpace) -> Table:
 
 
 def pack_move_set(moves: Sequence[Move], space: StateSpace):
+    """The moves packed by the kernel over the cells of space.
+
+    Packing is memoised by content: callers that search under the same
+    moves (k33_run's four searches, k33_search's one per candidate) pack
+    them once.  The key also holds the kernel's pack_moves, so a set is
+    never handed to functions other than those of the backend that packed
+    it, even when the kernel's names are rebound."""
+    return _pack_move_set(tuple(moves), space, kernel.pack_moves)
+
+
+@lru_cache(maxsize=8)
+def _pack_move_set(moves: tuple[Move, ...], space: StateSpace, pack_moves):
     packed = []
     for m in moves:
         minus = tuple((state_index(s, space), c) for s, c in m.minus.items())
         plus = tuple((state_index(s, space), c) for s, c in m.plus.items())
         packed.append((minus, plus))
-    return kernel.pack_moves(packed)
+    return pack_moves(packed)
 
 
 @dataclass
@@ -102,7 +115,9 @@ def connected_component(
         raise TooLargeError("node_cap must be >= 1")
     start.validate_on(space)
     pm = pack_move_set(moves, space)
-    visited, truncated = kernel.component(pack_table(start, space), pm, node_cap)
+    # the compiled kernel reads the cap as a C size; no closure is larger
+    cap = min(node_cap, sys.maxsize)
+    visited, truncated = kernel.component(pack_table(start, space), pm, cap)
     packed = tuple(sorted(visited)) if keep_members and not truncated else None
     return ComponentReport(start=start, size=len(visited), truncated=truncated, space=space,
                            packed=packed)

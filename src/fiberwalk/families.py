@@ -61,7 +61,7 @@ def cycle_graph(n: int, level: int = 2) -> LabeledGraph:
 MAX_CYCLE_N = 8
 
 
-def _check_cycle_size(n: int) -> None:
+def check_cycle_size(n: int) -> None:
     if n > MAX_CYCLE_N:
         raise TooLargeError(
             f"closed-form cycle families are generated up to n = {MAX_CYCLE_N}, not n = {n}"
@@ -80,7 +80,7 @@ def cycle_quadratic_moves(n: int) -> list[Move]:
     """
     if n < 4:
         return []
-    _check_cycle_size(n)
+    check_cycle_size(n)
     moves = []
     pos = list(range(n))
     for k, l in itertools.combinations(pos, 2):
@@ -114,7 +114,7 @@ def cycle_quartic_moves(n: int) -> list[Move]:
     """
     if n < 3:
         raise InvalidStateError("quartics need at least 3 positions")
-    _check_cycle_size(n)
+    check_cycle_size(n)
     moves = []
     for cuts in itertools.combinations(range(n), 3):
         c1, c2, c3 = cuts

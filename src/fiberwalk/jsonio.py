@@ -78,11 +78,15 @@ def table_to_json(t: Table, space: StateSpace) -> dict:
     return {"d": list(space.levels), "cells": _cells_to_json(t)}
 
 
-def packed_table_to_json(b: bytes, space: StateSpace) -> dict:
-    """table_to_json of a table packed one byte per cell in index order."""
-    states = space.states_by_index
-    cells = [[list(states[i]), c] for i, c in enumerate(b) if c]
-    return {"d": list(space.levels), "cells": cells}
+def packed_tables_to_json(packed, space: StateSpace) -> list[dict]:
+    """table_to_json of each table packed one byte per cell in index order.
+
+    Each state's list and the levels list are built once and shared by
+    every table that uses them; the JSON text is the same as unshared."""
+    states = [list(s) for s in space.states_by_index]
+    levels = list(space.levels)
+    return [{"d": levels, "cells": [[states[i], c] for i, c in enumerate(b) if c]}
+            for b in packed]
 
 
 def table_from_json(data: dict) -> tuple[Table, StateSpace]:

@@ -13,9 +13,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import InvalidMoveError, InvalidStateError, MoveNotApplicableError
+from .errors import InvalidMoveError, InvalidStateError, MoveNotApplicableError, TooLargeError
 
 State = tuple[int, ...]
+
+
+# The most cells a state space may have.  Margin maps, packed tables and
+# move sets all take time and memory that grow with the cells, so a larger
+# space is refused where it is made.  The largest model any command or test
+# uses has 1,024 cells (a 5-cycle at four levels).
+MAX_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -30,6 +37,8 @@ class StateSpace:
         if any(not isinstance(d, int) or d < 2 for d in self.levels):
             raise InvalidStateError(f"every level must be an integer >= 2, got {self.levels}")
         object.__setattr__(self, "levels", tuple(self.levels))
+        if self.total_cells > MAX_CELLS:
+            raise TooLargeError(f"{self.total_cells} cells exceed the cap of {MAX_CELLS}")
 
     @property
     def n_vertices(self) -> int:

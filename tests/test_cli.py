@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -8,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fiberwalk
 from fiberwalk import jsonio, k33
@@ -427,6 +431,7 @@ def test_verify_basis_family_and_moves_are_exclusive(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["family", "cycle-basis", "9"],
     ["family", "primes", "--graph", "cycle", "--n", "9", "--count-only"],
+    ["family", "primes", "--graph", "cycle", "--n", str(10 ** 30), "--count-only"],
 ])
 def test_cycle_family_above_the_cap_is_refused_at_once(capsys, argv):
     from fiberwalk.families import MAX_CYCLE_N
@@ -453,3 +458,87 @@ def test_k2n_family_above_the_cap_is_refused_at_once(capsys, argv):
     # generating these takes seconds or more; refusing them takes none
     assert time.perf_counter() - t0 < 1.0
     assert code == 1 and f"{MAX_K2N_WORK:,}" in rep["error"]
+
+
+# ---------------------------------------------------------------------------
+# bounded fuzzing of the numeric options: an envelope or a usage error, never
+# a traceback
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    c4, c3 = cycle_graph(4), cycle_graph(3)
+    files = {
+        "u": Table({(1, 1, 1, 1): 1, (1, 2, 1, 2): 1}),
+        "v": Table({(1, 1, 1, 2): 1, (1, 2, 1, 1): 1}),
+    }
+    paths = {}
+    for name, t in files.items():
+        paths[name] = str(d / f"{name}.json")
+        jsonio.dump(jsonio.table_to_json(t, c4.levels), paths[name])
+    paths["c3"] = str(d / "c3.json")
+    jsonio.dump(jsonio.graph_to_json(c3), paths["c3"])
+    return paths
+
+
+# Small, negative and huge values.  Every case below stays cheap whatever
+# value it draws: the work an option would start at a large value is refused
+# at the boundary, or another option of the case bounds it.
+NUMBER = st.integers(-3, 3) | st.integers(-(10 ** 6), -1) | st.sampled_from(
+    [10 ** 6, 2 ** 63, 10 ** 30])
+
+
+def fuzz_cases(f):
+    """Per numeric option of each subcommand, the argv of a case given its
+    number; `table1` has no numeric option."""
+    return {
+        "component": lambda n: ["component", "--preset", "c4", "--start", f["u"],
+                                "--global-markov", "--cap", n],
+        "connected": lambda n: ["connected", "--preset", "c4", "--u", f["u"], "--v", f["v"],
+                                "--global-markov", "--cap", n],
+        "verify-basis": lambda n: ["verify-basis", "--preset", "c4", "--family", "cycle",
+                                   "--max-degree", n],
+        "facets": lambda n: ["facets", "--preset", "k2n", "--k2n-levels", n, "2"],
+        "check-margins": lambda n: ["check-margins", "--preset", "k2n", "--k2n-levels", "2", n,
+                                    "--mode", "interior"],
+        "witness-disconnect --c": lambda n: ["witness-disconnect", "--preset", "k23", "--c", n],
+        "witness-disconnect --cap": lambda n: ["witness-disconnect", "--preset", "k23",
+                                               "--cap", n],
+        "family cycle-basis": lambda n: ["family", "cycle-basis", n],
+        "family k2n-basis": lambda n: ["family", "k2n-basis", "2", n],
+        "family primes --n": lambda n: ["family", "primes", "--graph", "cycle", "--n", n],
+        "family primes --levels": lambda n: ["family", "primes", "--graph", "k2n",
+                                             "--levels", n, "2"],
+        "latin mols": lambda n: ["latin", "mols", n],
+        "latin disconnect --order": lambda n: ["latin", "disconnect", "--graph", f["c3"],
+                                               "--order", n],
+        "latin disconnect --cap": lambda n: ["latin", "disconnect", "--graph", f["c3"],
+                                             "--order", "2", "--cap", n],
+        "k33 --cap": lambda n: ["k33", "--cap", n],
+        "k33 --max-pairs": lambda n: ["k33", "--search", "--max-tables", "40",
+                                      "--max-pairs", n],
+        # only --max-tables bounds the enumeration of --search, so it stays small there
+        "k33 --max-tables": lambda n: ["k33", "--search", "--max-pairs", "1", "--max-tables",
+                                       str(min(int(n), 40))],
+        "k33 --max-tables unused": lambda n: ["k33", "--max-tables", n],
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_numeric_options_give_an_envelope_or_a_usage_error(fuzz_files, data):
+    cases = fuzz_cases(fuzz_files)
+    name = data.draw(st.sampled_from(sorted(cases)), label="case")
+    argv = cases[name](str(data.draw(NUMBER, label="value")))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the value
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code != 2:
+        envelope = json.loads(out.getvalue())
+        assert ("error" in envelope) == (code == 1), (argv, envelope)

@@ -55,6 +55,9 @@ def test_component_truncation(c4):
     start = Table({(1, 1, 1, 1): 1, (1, 2, 1, 2): 1})
     rep = connected_component(start, global_markov_moves(c4), c4.levels, node_cap=1)
     assert rep.truncated and rep.size == 1 and rep.members is None
+    # a cap beyond any C size is no cap, on either kernel
+    rep = connected_component(start, global_markov_moves(c4), c4.levels, node_cap=2 ** 63)
+    assert not rep.truncated and rep.size == 2
 
 
 def test_component_is_equivalence_class(c5):

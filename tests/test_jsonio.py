@@ -59,24 +59,28 @@ def test_file_roundtrip(tmp_path):
 
 @st.composite
 def packed_tables(draw):
-    """A random state space and a table on it, packed one byte per cell,
-    of degree at most MAX_PACKED_DEGREE."""
+    """A random state space and a few tables on it, packed one byte per
+    cell, each of degree at most MAX_PACKED_DEGREE."""
     space = StateSpace(tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))))
-    cells = bytearray(space.total_cells)
-    budget = draw(st.integers(0, MAX_PACKED_DEGREE))
-    for i in draw(st.lists(st.integers(0, len(cells) - 1), max_size=12)):
-        count = draw(st.integers(0, budget))
-        cells[i] += count
-        budget -= count
-    return bytes(cells), space
+    tables = []
+    for _ in range(draw(st.integers(0, 4))):
+        cells = bytearray(space.total_cells)
+        budget = draw(st.integers(0, MAX_PACKED_DEGREE))
+        for i in draw(st.lists(st.integers(0, len(cells) - 1), max_size=12)):
+            count = draw(st.integers(0, budget))
+            cells[i] += count
+            budget -= count
+        tables.append(bytes(cells))
+    return tables, space
 
 
 @given(packed_tables())
-def test_packed_table_to_json_matches_the_table_path(packed):
-    b, space = packed
-    assert jsonio.packed_table_to_json(b, space) == jsonio.table_to_json(
-        unpack_table(b, space), space
-    )
+def test_packed_tables_to_json_matches_the_table_path(packed):
+    tables, space = packed
+    shared = jsonio.packed_tables_to_json(tables, space)
+    one_by_one = [jsonio.table_to_json(unpack_table(b, space), space) for b in tables]
+    assert shared == one_by_one
+    assert json.dumps(shared, sort_keys=True) == json.dumps(one_by_one, sort_keys=True)
 
 
 # each *_to_json -> JSON text -> *_from_json round trip is the identity

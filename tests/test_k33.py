@@ -1,5 +1,6 @@
 import random
 
+from fiberwalk import _kernel
 from fiberwalk.engine import are_connected, connected_component
 from fiberwalk.graphs import global_markov_moves, margin_map, margins
 from fiberwalk.k33 import k33_graph, k33_run, k33_witness
@@ -24,6 +25,15 @@ def test_component_sizes_18_18_90():
     assert rep["contains_both_endpoints"] is True
     assert not rep["inconclusive"]
     assert rep["path_length"] >= 1  # recorded, never pinned
+
+
+def test_k33_run_packs_its_moves_once(monkeypatch):
+    """Its three closures and the path search share one packed move set."""
+    calls = []
+    pack_moves = _kernel.pack_moves
+    monkeypatch.setattr(_kernel, "pack_moves", lambda moves: calls.append(1) or pack_moves(moves))
+    assert k33_run()["c90"] == 90
+    assert len(calls) == 1
 
 
 def test_padded_pair_connected_with_replayable_path():

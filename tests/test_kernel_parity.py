@@ -233,3 +233,50 @@ def test_component_matches_full_scan(kernel, case, cap):
     pm = kernel.pack_moves(moves)
     for t in tables[:2]:
         assert kernel.component(t, pm, cap) == full_scan_component(t, moves, cap)
+
+
+@st.composite
+def byte_range_cases(draw):
+    """A table at the edges of the one-byte cell range, and moves on it.
+
+    The table has degree at most 255 and one cell that may hold all of it.
+    Moves subtract counts just below, at and above what that cell holds, up
+    to and past the table's degree and past a 16-bit field.  Their parts
+    fall on the first cell (the most significant field of the pure kernel's
+    ints), the last cell or any cell.  Moves keep their degree, so no image
+    leaves the range.
+    """
+    n_cells = draw(st.integers(1, 6))
+    edge = st.sampled_from([0, n_cells - 1]) | st.integers(0, n_cells - 1)
+    table = bytearray(n_cells)
+    big = draw(st.integers(0, 255))
+    table[draw(edge)] = big
+    spare = 255 - big
+    for i in draw(st.lists(edge, max_size=4)):
+        count = draw(st.integers(0, spare))
+        table[i] += count
+        spare -= count
+    degree = 255 - spare
+    counts = st.sampled_from(
+        sorted({1, max(big - 1, 1), max(big, 1), big + 1, degree + 1, 2 ** 16 + 1}))
+    moves = []
+    for _ in range(draw(st.integers(1, 8))):
+        minus = Counter()
+        for _ in range(draw(st.integers(1, 2))):
+            minus[draw(edge)] += draw(counts)
+        k = sum(minus.values())
+        first = draw(st.integers(0, k))
+        plus = Counter({draw(edge): first})
+        plus[draw(edge)] += k - first
+        moves.append((tuple(sorted(minus.items())), tuple(sorted(plus.items()))))
+    return moves, bytes(table)
+
+
+@given(byte_range_cases(), st.integers(1, 60))
+def test_byte_range_edges_match_full_scan(kernel, case, cap):
+    moves, t = case
+    pm = kernel.pack_moves(moves)
+    signed = full_scan_signed(t, moves)
+    assert kernel.neighbors_signed(t, pm) == signed
+    assert kernel.forward_neighbors(t, pm) == [nb for _, fwd, nb in signed if fwd]
+    assert kernel.component(t, pm, cap) == full_scan_component(t, moves, cap)

@@ -4,8 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fiberwalk.errors import InvalidMoveError, InvalidStateError, MoveNotApplicableError
+from fiberwalk.errors import (
+    InvalidMoveError,
+    InvalidStateError,
+    MoveNotApplicableError,
+    TooLargeError,
+)
 from fiberwalk.tables import (
+    MAX_CELLS,
     Move,
     StateSpace,
     Table,
@@ -57,6 +63,9 @@ def test_space_validation():
         StateSpace((2, 1))
     with pytest.raises(InvalidStateError):
         StateSpace(())
+    assert StateSpace((2, 1 << 15)).total_cells == MAX_CELLS
+    with pytest.raises(TooLargeError):
+        StateSpace((2, 2, 1 << 15))
 
 
 SWAP = Move(Table({(1, 2): 1, (2, 1): 1}), Table({(1, 1): 1, (2, 2): 1}))
