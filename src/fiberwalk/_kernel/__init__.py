@@ -2,11 +2,15 @@
 
 Both backends export the same interface: `pack_moves`, `forward_neighbors`,
 `neighbors_signed`, `component` and `BACKEND`.  `pack_moves` packs every
-move forward and reversed, as directed moves, and builds, once, a support
-index that files each directed move under the smallest cell it subtracts
-from; a scan tries only the moves filed under the table's nonzero cells
-(and those that subtract nothing), in ascending order, so its results are
-those of trying every move.  The compiled `_fast` extension is used when it
+move forward and reversed, as directed moves, and each backend indexes them
+by the cells they subtract from, so that a scan skips moves that subtract
+from a zero cell of the table and tries the rest in ascending order; its
+results are those of trying every move.  `_fast` files each directed move
+under the smallest cell it subtracts from and tries the buckets of the
+table's nonzero cells.  `pure` skips every such move: it keeps, per table
+length, one 256-entry table per byte of 8 cells that some move subtracts
+from, and ORs one entry per such byte of the table's zero cells into the
+set of moves to skip.  The compiled `_fast` extension is used when it
 was built (`python setup.py build_ext --inplace`), otherwise the
 pure-Python `pure` module.  Set FIBERWALK_PURE=1 to force the fallback.
 

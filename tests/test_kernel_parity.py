@@ -4,8 +4,11 @@ must give what trying every move in order gives.
 The compiled module under test is built from the current `_fast.c` into a
 temporary directory, so these tests never run on a stale build.  They skip
 only when no C compiler is found.  Both kernels try only the moves their
-support index files under a table's nonzero cells, so the property tests at
-the end compare them with a full scan written here.
+index lets through for a table: the compiled one those filed under the
+table's nonzero cells, the pure one those not blocked by its per-byte
+tables of zero cells.  So the property tests at the end compare both with a
+full scan written here, over tables that span several bytes of 8 cells, and
+compare the pure kernel's unblocked moves with their definition.
 """
 
 import importlib.util
@@ -23,11 +26,11 @@ from hypothesis import strategies as st
 
 import fiberwalk
 from fiberwalk._kernel import pure
-from fiberwalk.engine import pack_table
+from fiberwalk.engine import connected_component, pack_table
 from fiberwalk.families import cycle_markov_basis, cycle_graph
 from fiberwalk.graphs import global_markov_moves
 from fiberwalk.k33 import k33_graph, k33_witness
-from fiberwalk.tables import Table, state_index
+from fiberwalk.tables import MAX_CELLS, Move, StateSpace, Table, state_index
 
 KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "fiberwalk" / "_kernel" / "_fast.c"
 MODULE = "fiberwalk._kernel._fast"
@@ -191,13 +194,14 @@ def full_scan_component(start, moves, cap):
 
 @st.composite
 def packed_cases(draw):
-    """Degree-keeping moves over a few cells, and tables over those cells.
+    """Degree-keeping moves over up to 20 cells, and tables over those cells.
 
-    A part may hold a cell more than once over (count > 1), may share cells
+    The cells span up to three bytes of the pure kernel's zero patterns.  A
+    part may hold a cell more than once over (count > 1), may share cells
     with the other part, may carry a zero count, and may be empty (a move
     that subtracts nothing applies to every table).
     """
-    n_cells = draw(st.integers(1, 7))
+    n_cells = draw(st.integers(1, 20))
     cell = st.integers(0, n_cells - 1)
     moves = []
     for _ in range(draw(st.integers(0, 14))):
@@ -235,6 +239,24 @@ def test_component_matches_full_scan(kernel, case, cap):
         assert kernel.component(t, pm, cap) == full_scan_component(t, moves, cap)
 
 
+@given(packed_cases(), st.integers(0, 17))
+def test_pure_unblocked_moves_subtract_only_from_nonzero_cells(case, pad):
+    """An index that let more moves through would still give the right
+    images, as the borrow test rejects them, but would try them in vain.
+    Zero cells that no move uses, appended to the table, block nothing."""
+    moves, tables = case
+    pm = pure.pack_moves(moves)
+    for t in tables:
+        want = 0
+        for k, (minus, plus) in enumerate(moves):
+            for d, sub in ((2 * k, minus), (2 * k + 1, plus)):
+                if all(t[i] for i, c in sub if c > 0):
+                    want |= 1 << d
+        for table in (t, t + bytes(pad)):
+            unblocked = pm.layout(len(table))[2]
+            assert unblocked(table) == want
+
+
 @st.composite
 def byte_range_cases(draw):
     """A table at the edges of the one-byte cell range, and moves on it.
@@ -244,9 +266,10 @@ def byte_range_cases(draw):
     to and past the table's degree and past a 16-bit field.  Their parts
     fall on the first cell (the most significant field of the pure kernel's
     ints), the last cell or any cell.  Moves keep their degree, so no image
-    leaves the range.
+    leaves the range.  The table has up to 20 cells, so the first and the
+    last cell may fall in different bytes of the pure kernel's zero patterns.
     """
-    n_cells = draw(st.integers(1, 6))
+    n_cells = draw(st.integers(1, 20))
     edge = st.sampled_from([0, n_cells - 1]) | st.integers(0, n_cells - 1)
     table = bytearray(n_cells)
     big = draw(st.integers(0, 255))
@@ -280,3 +303,44 @@ def test_byte_range_edges_match_full_scan(kernel, case, cap):
     assert kernel.neighbors_signed(t, pm) == signed
     assert kernel.forward_neighbors(t, pm) == [nb for _, fwd, nb in signed if fwd]
     assert kernel.component(t, pm, cap) == full_scan_component(t, moves, cap)
+
+
+def test_closure_on_the_largest_space():
+    """Two quadratic moves on 16 binary vertices, MAX_CELLS cells.
+
+    On the path 1 - 2 - ... - 16, vertex 5 and vertex 12 each separate the
+    vertices before them from those after, so swapping the coordinates past
+    either of them between two states that agree there keeps every edge
+    margin.  The pure kernel indexes only the bytes of zero patterns that
+    hold a cell some move subtracts from: 6 cells, 6 of 8,192 bytes.
+    """
+    space = StateSpace((2,) * 16)
+    assert space.total_cells == MAX_CELLS
+
+    def state(code):
+        return tuple(int(c) for c in code)
+
+    u, v = state("1111111111111111"), state("2222122222212222")
+    past5 = (state("1111122222212222"), state("2222111111111111"))
+    past12 = (state("1111111111112222"), state("2222122222211111"))
+    moves = [Move(Table(dict.fromkeys(plus, 1)), Table({u: 1, v: 1})) for plus in (past5, past12)]
+
+    def edge_margins(states):
+        return Counter((e, s[e], s[e + 1]) for s in states for e in range(15))
+
+    for plus in (past5, past12):
+        assert edge_margins(plus) == edge_margins((u, v))
+
+    start = Table({u: 1, v: 1})
+    members = {start, Table(dict.fromkeys(past5, 1)), Table(dict.fromkeys(past12, 1))}
+    rep = connected_component(start, moves, space)
+    assert (rep.size, rep.truncated) == (3, False)
+    assert set(rep.members) == members
+
+    pm = pure.pack_moves(as_pairs(moves, space))
+    assert pure.component(pack_table(start, space), pm, 10) == (
+        {pack_table(m, space) for m in members}, False)
+    subtracted = {state_index(s, space) for s in (u, v, *past5, *past12)}
+    index = pm.layout(MAX_CELLS)[3]
+    assert set(index) == {(MAX_CELLS - 1 - i) // 8 for i in subtracted}
+    assert len(index) == 6
