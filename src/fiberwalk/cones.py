@@ -8,9 +8,11 @@ input order, from starting rays that a fraction-free Gauss–Jordan inverse
 of the basis constraints gives.  Two rays are adjacent when no third ray is
 tight on all of their common tight constraints (the combinatorial test of
 Fukuda and Prodon).  The rays tight on a common set are an AND of bitsets
-over the ray indices, read from one 256-entry table per byte of processed
-constraints.  Margin-property verdicts evaluate prime-witness monomials
-against those functionals.
+over ray ids, read from one 256-entry table per byte of processed
+constraints; a ray keeps its id while it lives, so the bitsets persist
+across insertions and each step adds only its new rays and its constraint.
+Margin-property verdicts evaluate prime-witness monomials against those
+functionals.
 """
 
 from __future__ import annotations
@@ -110,6 +112,18 @@ def _inverse_columns(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [_reduce(tuple([sign * row[r + j] for row in aug])) for j in range(r)]
 
 
+def _transpose(masks: list[int], width: int) -> list[int]:
+    """sets[c]: the bitset of the indices i whose masks[i] has bit c set."""
+    sets = [0] * width
+    for i, t in enumerate(masks):
+        bit_i = 1 << i
+        while t:
+            low = t & -t
+            sets[low.bit_length() - 1] |= bit_i
+            t ^= low
+    return sets
+
+
 def _extreme_rays(constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Extreme rays of {z : Mz >= 0} for full-rank M (pointed cone).
 
@@ -118,13 +132,20 @@ def _extreme_rays(constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     order), pairing adjacent positive/negative rays.  Adjacency is the
     combinatorial test: no third ray is tight on every constraint of the
     pair's common tight set.  A pair whose common set has fewer than r - 2
-    constraints cannot span a 2-face and is dropped at once.  Only when
-    some pair is left, the rays' tight masks are transposed into one bitset
-    over ray indices per processed constraint, and each group of 8
-    processed constraints gets a 256-entry table whose entry v is the AND
-    of the bitsets of the set bits of v (entry 0 is every ray).  The rays
+    constraints cannot span a 2-face and is dropped at once.
+
+    Each ray keeps an id while it lives, and zero[c], the bitset over ids of
+    the rays tight on processed constraint c, persists across steps: a step
+    ORs each new ray's id into the sets of its tight constraints and appends
+    the set of the inserted constraint.  Dead rays stay in zero; the mask of
+    live ids masks them out.  Only when some pair is left, each group of 8
+    processed constraints gets a 256-entry table whose entry v is the AND of
+    the sets of the set bits of v, and entry 0 is the live mask.  The rays
     tight on a common set are then the AND of one table entry per byte of
-    the set, and the pair is adjacent when that leaves the pair alone.
+    the set, and the pair is adjacent when that leaves the pair alone.  Live
+    rays in id order are the list order, so renumbering them 0, 1, ... with
+    one transpose of their tight masks, done when ids outnumber live rays
+    2:1, keeps the bitsets narrow and changes nothing else.
     """
     r = len(constraints[0])
     base_idx = _independent_subset(constraints)
@@ -132,18 +153,23 @@ def _extreme_rays(constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         raise InvalidStateError("constraint matrix is rank deficient")
     base = [constraints[i] for i in base_idx]
     rays = _inverse_columns(base)
-    order = base_idx + [i for i in range(len(constraints)) if i not in set(base_idx)]
-    processed: list[int] = list(base_idx)
+    in_base = set(base_idx)
     tight = []
     for ray in rays:
         mask = 0
-        for pos, ci in enumerate(processed):
-            if _dot(constraints[ci], ray) == 0:
+        for pos, row in enumerate(base):
+            if _dot(row, ray) == 0:
                 mask |= 1 << pos
         tight.append(mask)
+    ids = list(range(r))
+    n_ids = r
+    live = (1 << r) - 1
+    zero = _transpose(tight, r)
 
     need = r - 2  # an adjacent pair spans a 2-face: its common set has rank r - 2
-    for ci in order[r:]:
+    for ci in range(len(constraints)):
+        if ci in in_base:
+            continue
         m = constraints[ci]
         vals = [_dot(m, ray) for ray in rays]
         pos_tight = [(ip, tight[ip]) for ip, v in enumerate(vals) if v > 0]
@@ -157,17 +183,9 @@ def _extreme_rays(constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         new_rays = []
         new_tight = []
         if pairs:
-            # zero[c]: bitset of the rays tight on processed constraint c
-            zero = [0] * len(processed)
-            for i, t in enumerate(tight):
-                bit_i = 1 << i
-                while t:
-                    low = t & -t
-                    zero[low.bit_length() - 1] |= bit_i
-                    t ^= low
             tables = []
             for lo in range(0, len(zero), 8):
-                tab = [(1 << len(rays)) - 1]
+                tab = [live]
                 for z in zero[lo : lo + 8]:
                     tab += [x & z for x in tab]
                 tables.append(tab)
@@ -175,20 +193,46 @@ def _extreme_rays(constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
             entry = list.__getitem__
             for ip, im, common in pairs:
                 rest = reduce(and_, map(entry, tables, common.to_bytes(nbytes, "little")))
-                if rest != (1 << ip) | (1 << im):
+                if rest != (1 << ids[ip]) | (1 << ids[im]):
                     continue
                 vp, vm = vals[ip], vals[im]
                 ray = tuple([vp * b - vm * a for a, b in zip(rays[ip], rays[im])])
                 new_rays.append(_reduce(ray))
                 new_tight.append(common)
-            del zero, tables
-        bit = 1 << len(processed)
-        keep = [i for i, v in enumerate(vals) if v >= 0]
-        rays = [rays[i] for i in keep] + new_rays
-        tight = [tight[i] | (bit if vals[i] == 0 else 0) for i in keep] + [
+            del tables
+        keep = []
+        on_ci = 0
+        for k, v in enumerate(vals):
+            if v > 0:
+                keep.append(k)
+            elif v == 0:
+                keep.append(k)
+                on_ci |= 1 << ids[k]
+            else:
+                live ^= 1 << ids[k]
+        first = n_ids
+        for t in new_tight:
+            bit_id = 1 << n_ids
+            n_ids += 1
+            while t:
+                low = t & -t
+                zero[low.bit_length() - 1] |= bit_id
+                t ^= low
+        new_ids = ((1 << len(new_tight)) - 1) << first
+        on_ci |= new_ids
+        live |= new_ids
+        bit = 1 << len(zero)
+        zero.append(on_ci)
+        rays = [rays[k] for k in keep] + new_rays
+        tight = [tight[k] | (bit if vals[k] == 0 else 0) for k in keep] + [
             t | bit for t in new_tight
         ]
-        processed.append(ci)
+        ids = [ids[k] for k in keep] + list(range(first, n_ids))
+        if n_ids >= 2 * len(rays):
+            ids = list(range(len(rays)))
+            n_ids = len(rays)
+            live = (1 << n_ids) - 1
+            zero = _transpose(tight, len(zero))
     return rays
 
 

@@ -307,8 +307,11 @@ def margin_map(g: LabeledGraph) -> MarginMap:
 
 
 def margins(am: MarginMap, t: Table) -> tuple[int, ...]:
-    """Exact integer clique marginals of a table."""
-    t.validate_on(am.space)
+    """Exact integer clique marginals of a table.
+
+    Each state is checked once, by `state_index` inside `MarginMap.margins`,
+    in cell order: a bad state raises what `Table.validate_on` would.
+    """
     return am.margins(t)
 
 

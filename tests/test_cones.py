@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from fiberwalk.cones import (
     Functional,
+    _extreme_rays,
     _inverse_columns,
     _reduce,
     build_disconnection_witness,
@@ -193,6 +195,69 @@ def test_inverse_columns_match_a_fraction_solve(rows):
     # primitive, is the expected r_j
     inverse, _ = _rref([row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)], 2 * n)
     assert got == [_primitive([inverse[i][n + j] for i in range(n)]) for j in range(n)]
+
+
+# shape (constraints, rank, rays) and sha256 of the raw `_extreme_rays` output
+# (compact JSON, in the order returned) on the matrix `facets_of_columns`
+# builds per preset; the facet pins sort their lists, so they cannot see a
+# change of insertion or ray order
+PINNED_RAYS = {
+    "seth-c4-3": (81, 25, 1116, "a71a45869444df01aa55f5974cca2b2a87b15f86bf62e7e5a90230869ad54710"),
+    "k33": (64, 16, 684, "eb9582a47d70867e93e4de8e96594e9dd300fc003ef25f53ad728655f2d0871c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RAYS))
+def test_raw_extreme_rays_are_pinned(name):
+    from fiberwalk import cones
+
+    seen = []
+
+    def record(constraints):
+        rays = _extreme_rays(constraints)
+        seen.append((len(constraints), len(constraints[0]), rays))
+        return rays
+
+    with mock.patch.object(cones, "_extreme_rays", record):
+        cone_facets(margin_map(resolve(name).graph))
+    [(n, r, rays)] = seen
+    blob = json.dumps(rays, separators=(",", ":")).encode()
+    assert (n, r, len(rays), hashlib.sha256(blob).hexdigest()) == PINNED_RAYS[name]
+
+
+@st.composite
+def pointed_cone_matrices(draw):
+    """20-30 rows of rank r in 4..5, each with m . (1, ..., 1) > 0, so that
+    {z : Mz >= 0} is full-dimensional and pointed.  Enough insertions kill
+    and replace rays for the ray ids to be renumbered."""
+    r = draw(st.integers(4, 5))
+    rows = []
+    for _ in range(draw(st.integers(20, 30))):
+        row = draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+        row[0] += max(0, 1 - sum(row))
+        rows.append(tuple(row))
+    assume(integer_rank(rows) == r)
+    return rows
+
+
+@settings(max_examples=40)
+@given(pointed_cone_matrices())
+def test_extreme_rays_are_exact_across_renumbering(rows):
+    from fiberwalk import cones
+
+    r = len(rows[0])
+    # the first transpose builds the starting bitsets; each later one renumbers
+    with mock.patch.object(cones, "_transpose", wraps=cones._transpose) as transpose:
+        rays = _extreme_rays(rows)
+    assert transpose.call_count > 1
+    for z in rays:
+        assert _reduce(z) == z and any(z)
+        vals = [sum(a * b for a, b in zip(row, z)) for row in rows]
+        assert min(vals) >= 0
+        assert integer_rank([row for row, v in zip(rows, vals) if v == 0]) == r - 1
+    assert len(set(rays)) == len(rays)
+    assert not set(rays) & {tuple(-x for x in z) for z in rays}
+    assert set(_extreme_rays(rows[::-1])) == set(rays)
 
 
 @pytest.mark.parametrize("name", ["c5", "k23", "g48", "square-pyramid"])

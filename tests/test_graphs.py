@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fiberwalk.errors import InvalidPartitionError, TooLargeError
+from fiberwalk.errors import InvalidPartitionError, InvalidStateError, TooLargeError
 from fiberwalk.graphs import (
     CIStatement,
     LabeledGraph,
@@ -163,6 +163,20 @@ def test_margins_additive(c4):
         t2 = Table({s: rng.randint(1, 3) for s in rng.sample(states, 3)})
         y1, y2, y12 = margins(am, t1), margins(am, t2), margins(am, t1 + t2)
         assert tuple(a + b for a, b in zip(y1, y2)) == y12
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ({(1, 1, 1): 1}, "state (1, 1, 1) has arity 3, expected 4"),
+        ({(1, 1, 1, 1): 2, (1, 1, 3, 1): 1}, "coordinate 3 of state (1, 1, 3, 1) outside 1..2"),
+        ({(2, 0, 1, 1): 1, (1, 1, 1): 1}, "state (1, 1, 1) has arity 3, expected 4"),
+    ],
+)
+def test_margins_rejects_bad_states(c4, cells, message):
+    with pytest.raises(InvalidStateError) as err:
+        margins(margin_map(c4), Table(cells))
+    assert str(err.value) == message
 
 
 def test_margins_seth_table_all_ones():
