@@ -48,6 +48,19 @@ from .latin import latin_table, mols, verify_disconnection
 from .presets import PRESET_NAMES, Preset, resolve, table1_expected
 
 MEMBER_DUMP_LIMIT = 10_000
+# where main writes member text into the envelope text; inside a JSON string
+# every quote is escaped, so only a "members" key can match
+MEMBERS_SLOT = '"members": null'
+
+
+class _Text:
+    """A result value whose JSON text is already built, in pieces: main
+    writes them into the envelope as they are."""
+
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces: list[str]):
+        self.pieces = pieces
 
 
 def _load_model(args) -> Preset:
@@ -92,7 +105,7 @@ def cmd_component(args):
     rep = connected_component(start, moves, preset.space, node_cap=args.cap)
     result = {"size": rep.size, "truncated": rep.truncated}
     if rep.packed is not None and (rep.size <= MEMBER_DUMP_LIMIT or args.dump):
-        result["members"] = jsonio.packed_tables_to_json(rep.packed, preset.space)
+        result["members"] = _Text(jsonio.packed_tables_text(rep.packed, preset.space))
     return result, 0
 
 
@@ -372,7 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--moves", help="moves JSON file")
     sp.add_argument("--global-markov", action="store_true", help="use the graph's quadratic moves")
     sp.add_argument("--cap", type=int, default=1_000_000)
-    sp.add_argument("--dump", action="store_true", help="emit members even above the dump limit")
+    sp.add_argument("--dump", action="store_true",
+                    help="list the members even when there are more than "
+                         f"MEMBER_DUMP_LIMIT = {MEMBER_DUMP_LIMIT:,}")
     sp.set_defaults(func=cmd_component)
 
     sp = add_parser("connected", help="bidirectional search between two tables")
@@ -472,19 +487,33 @@ def main(argv=None) -> int:
     except FiberwalkError as exc:
         envelope["error"], code = str(exc), 1
     envelope["elapsed_ms"] = int((time.perf_counter() - t0) * 1000)
-    # the C encoder only runs without indent; compact output is one line
-    text = json.dumps(envelope, sort_keys=True) + "\n"
+    # compact output keeps the C encoder; member text takes a slot in it and
+    # every piece is written as it is, never joined into one string
+    spliced = []
+
+    def slot(value):
+        if not isinstance(value, _Text):
+            raise TypeError(f"{type(value).__name__} is not JSON serializable")
+        spliced.append(value.pieces)
+        return None
+
+    text = json.dumps(envelope, sort_keys=True, default=slot)
+    if spliced:
+        head, _, tail = text.partition(MEMBERS_SLOT)
+        pieces = [head + '"members": ', *spliced[0], tail + "\n"]
+    else:
+        pieces = [text + "\n"]
     # the file copy first, so a reader that closes stdout early cannot lose it
     out = getattr(args, "json", None)
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             print(f"fiberwalk: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
             code = code or 1
     try:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone; keep the interpreter's final flush quiet too

@@ -10,7 +10,9 @@ these formats, or a file that cannot be read, raises InvalidInputError.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from typing import Union
 
 from .errors import InvalidInputError, InvalidStateError
@@ -78,15 +80,27 @@ def table_to_json(t: Table, space: StateSpace) -> dict:
     return {"d": list(space.levels), "cells": _cells_to_json(t)}
 
 
-def packed_tables_to_json(packed, space: StateSpace) -> list[dict]:
-    """table_to_json of each table packed one byte per cell in index order.
+def packed_tables_text(packed, space: StateSpace) -> list[str]:
+    """The text of json.dumps([table_to_json(unpack_table(b, space), space)
+    for b in packed], sort_keys=True), written straight from tables packed
+    one byte per cell in index order, in one piece per table.
 
-    Each state's list and the levels list are built once and shared by
-    every table that uses them; the JSON text is the same as unshared."""
-    states = [list(s) for s in space.states_by_index]
-    levels = list(space.levels)
-    return [{"d": levels, "cells": [[states[i], c] for i, c in enumerate(b) if c]}
-            for b in packed]
+    Each cell's '[<state>, <count>], ' fragment is built once, for every
+    count up to the bitwise OR of the cell's counts, and shared by every
+    table.  The OR is below twice the cell's largest count, so the fragments
+    grow with the counts present, not with 255 per cell."""
+    if not packed:
+        return ["[]"]
+    ored = functools.reduce(operator.or_, (int.from_bytes(b, "big") for b in packed))
+    tops = ored.to_bytes(space.total_cells, "big")
+    frags = [[""] + [f"[{json.dumps(s)}, {c}], " for c in range(1, top + 1)]
+             for s, top in zip(space.states_by_index, tops)]
+    end = '], "d": ' + json.dumps(space.levels) + "}, "
+    get = list.__getitem__
+    pieces = ['{"cells": [' + "".join(map(get, frags, b))[:-2] + end for b in packed]
+    pieces[0] = "[" + pieces[0]
+    pieces[-1] = pieces[-1][:-2] + "]"
+    return pieces
 
 
 def table_from_json(data: dict) -> tuple[Table, StateSpace]:
@@ -132,9 +146,3 @@ def load(path: str):
         raise InvalidInputError(f"cannot read {path}: {exc.strerror or exc}")
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"{path} is not valid JSON: {exc}")
-
-
-def dump(obj, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import settings
 
@@ -10,6 +12,13 @@ from fiberwalk.presets import resolve
 # property tests draw the same examples on every run and never time out
 settings.register_profile("fiberwalk", derandomize=True, deadline=None)
 settings.load_profile("fiberwalk")
+
+
+def dump(obj, path: str) -> None:
+    """Writes obj to path as indented JSON, the way a person might write an input file."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @pytest.fixture(scope="session")

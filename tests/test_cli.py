@@ -22,6 +22,8 @@ from fiberwalk.graphs import global_markov_moves, margins
 from fiberwalk.presets import resolve
 from fiberwalk.tables import Table
 
+from conftest import dump
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -35,8 +37,8 @@ def test_component_preset_and_files(tmp_path, capsys):
     g = cycle_graph(4)
     start = Table({(1, 1, 1, 1): 1, (1, 2, 1, 2): 1})
     gpath, tpath = str(tmp_path / "g.json"), str(tmp_path / "t.json")
-    jsonio.dump(jsonio.graph_to_json(g), gpath)
-    jsonio.dump(jsonio.table_to_json(start, g.levels), tpath)
+    dump(jsonio.graph_to_json(g), gpath)
+    dump(jsonio.table_to_json(start, g.levels), tpath)
     code, rep = run(
         capsys, "component", "--graph", gpath, "--start", tpath, "--global-markov"
     )
@@ -71,8 +73,8 @@ def test_connected_e_simple(tmp_path, capsys):
 
     space = StateSpace((2,))
     upath, vpath = str(tmp_path / "u.json"), str(tmp_path / "v.json")
-    jsonio.dump(jsonio.table_to_json(Table({(1,): 3, (2,): 1}), space), upath)
-    jsonio.dump(jsonio.table_to_json(Table({(1,): 1, (2,): 3}), space), vpath)
+    dump(jsonio.table_to_json(Table({(1,): 3, (2,): 1}), space), upath)
+    dump(jsonio.table_to_json(Table({(1,): 1, (2,): 3}), space), vpath)
     code, rep = run(capsys, "connected", "--preset", "e-simple", "--u", upath, "--v", vpath)
     assert code == 0
     assert rep["result"]["status"] == "connected"
@@ -153,6 +155,7 @@ def test_table1_cli(tmp_path, capsys):
 ENVELOPE_COMMANDS = [
     (["latin", "mols", "3"], 0),
     (["component", "--preset", "c4"], 1),  # no start table
+    (["component", "--preset", "seth-c4-3", "--global-markov"], 0),  # member text spliced in
 ]
 
 
@@ -193,19 +196,58 @@ def test_closed_stdout_keeps_the_exit_code_without_a_traceback(tmp_path, argv, e
     assert json.loads(out.read_text())["experiment"] == argv[0]
 
 
-def test_component_members_come_straight_from_packed_tables(tmp_path, capsys):
+C5_START = Table({(1, 1, 2, 2, 1): 2, (1, 1, 2, 2, 2): 1, (1, 2, 1, 1, 2): 1,
+                  (1, 2, 1, 2, 2): 1, (1, 2, 2, 1, 1): 1, (2, 1, 1, 2, 2): 1,
+                  (2, 1, 2, 2, 2): 1})  # a c5 fiber of 70 tables under the quadratic moves
+
+
+def with_c5_member_dicts(text):
+    """The envelope text that json.dumps writes when the members are the
+    table_to_json dicts of the library's closure of C5_START."""
     preset = resolve("c5")
-    start = Table({(1, 1, 2, 2, 1): 2, (1, 1, 2, 2, 2): 1, (1, 2, 1, 1, 2): 1,
-                   (1, 2, 1, 2, 2): 1, (1, 2, 2, 1, 1): 1, (2, 1, 1, 2, 2): 1,
-                   (2, 1, 2, 2, 2): 1})
-    tpath = str(tmp_path / "t.json")
-    jsonio.dump(jsonio.table_to_json(start, preset.space), tpath)
-    code, rep = run(capsys, "component", "--preset", "c5", "--start", tpath, "--global-markov")
-    rep_lib = connected_component(start, global_markov_moves(preset.graph), preset.space)
-    assert code == 0 and rep["result"]["size"] == rep_lib.size == 70
-    expected = [jsonio.table_to_json(unpack_table(b, preset.space), preset.space)
-                for b in rep_lib.packed]
-    assert rep["result"]["members"] == expected
+    rep = connected_component(C5_START, global_markov_moves(preset.graph), preset.space)
+    envelope = json.loads(text)
+    envelope["result"]["members"] = [jsonio.table_to_json(unpack_table(b, preset.space),
+                                                          preset.space)
+                                     for b in rep.packed]
+    return json.dumps(envelope, sort_keys=True) + "\n"
+
+
+def component_c5(tmp_path, name="t.json"):
+    tpath = str(tmp_path / name)
+    dump(jsonio.table_to_json(C5_START, resolve("c5").space), tpath)
+    return ["component", "--preset", "c5", "--start", tpath, "--global-markov"]
+
+
+def test_component_members_come_straight_from_packed_tables(tmp_path, capsys):
+    assert main(component_c5(tmp_path)) == 0
+    text = capsys.readouterr().out
+    assert json.loads(text)["result"]["size"] == 70
+    assert text == with_c5_member_dicts(text)
+
+
+def test_component_dump_writes_the_same_text_to_the_file_and_stdout(tmp_path, capsys,
+                                                                     monkeypatch):
+    import fiberwalk.cli as cli
+
+    monkeypatch.setattr(cli, "MEMBER_DUMP_LIMIT", 69)
+    argv, out = component_c5(tmp_path), tmp_path / "report.json"
+    code, rep = run(capsys, *argv)
+    assert code == 0 and rep["result"]["size"] == 70 and "members" not in rep["result"]
+    assert main([*argv, "--dump", "--json", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert out.read_bytes() == text.encode()
+    assert text == with_c5_member_dicts(text)
+
+
+def test_member_slot_text_in_a_parameter_is_not_spliced(tmp_path, capsys):
+    from fiberwalk.cli import MEMBERS_SLOT
+
+    argv = component_c5(tmp_path, f"{MEMBERS_SLOT} {MEMBERS_SLOT}.json")
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert json.loads(text)["params"]["start"] == argv[4]
+    assert text == with_c5_member_dicts(text)
 
 
 def test_json_flag_after_subcommand(tmp_path, capsys):
@@ -263,7 +305,7 @@ def test_table1_family_route_must_agree(monkeypatch, capsys):
 def test_check_margins_graph_file_with_family(tmp_path, capsys):
     g = cycle_graph(5)
     gpath = str(tmp_path / "c5.json")
-    jsonio.dump(jsonio.graph_to_json(g), gpath)
+    dump(jsonio.graph_to_json(g), gpath)
     code, rep = run(capsys, "check-margins", "--graph", gpath, "--mode", "positive")
     assert code == 0 and rep["result"]["holds"] is True
 
@@ -300,7 +342,7 @@ def test_k33_search_with_no_pairs_enumerates_nothing(monkeypatch, capsys):
 
 def write_graph(tmp_path, name):
     path = str(tmp_path / f"{name}.json")
-    jsonio.dump(jsonio.graph_to_json(resolve(name).graph), path)
+    dump(jsonio.graph_to_json(resolve(name).graph), path)
     return path
 
 
@@ -346,8 +388,8 @@ def test_witness_disconnect_graph_file(tmp_path, capsys):
 
 def test_relabelled_graph_file_has_no_family(tmp_path, capsys):
     gpath = str(tmp_path / "c4-relabelled.json")
-    jsonio.dump({"vertices": 4, "d": [2, 2, 2, 2], "edges": [[1, 2], [2, 4], [4, 3], [3, 1]]},
-                gpath)
+    dump({"vertices": 4, "d": [2, 2, 2, 2], "edges": [[1, 2], [2, 4], [4, 3], [3, 1]]},
+         gpath)
     code, rep = run(capsys, "check-margins", "--graph", gpath, "--mode", "positive")
     assert code == 1 and "error" in rep
 
@@ -417,7 +459,7 @@ def test_readme_command_lines_parse():
 
 def test_verify_basis_family_and_moves_are_exclusive(tmp_path, capsys):
     mpath = str(tmp_path / "empty.json")
-    jsonio.dump([], mpath)
+    dump([], mpath)
     with pytest.raises(SystemExit) as exc:
         main(["verify-basis", "--preset", "c4", "--family", "cycle", "--moves", mpath,
               "--max-degree", "2"])
@@ -476,9 +518,9 @@ def fuzz_files(tmp_path_factory):
     paths = {}
     for name, t in files.items():
         paths[name] = str(d / f"{name}.json")
-        jsonio.dump(jsonio.table_to_json(t, c4.levels), paths[name])
+        dump(jsonio.table_to_json(t, c4.levels), paths[name])
     paths["c3"] = str(d / "c3.json")
-    jsonio.dump(jsonio.graph_to_json(c3), paths["c3"])
+    dump(jsonio.graph_to_json(c3), paths["c3"])
     return paths
 
 

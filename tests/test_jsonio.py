@@ -2,7 +2,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fiberwalk import jsonio
@@ -11,6 +11,8 @@ from fiberwalk.errors import InvalidStateError
 from fiberwalk.families import cycle_graph
 from fiberwalk.graphs import LabeledGraph, global_markov_moves
 from fiberwalk.tables import Move, StateSpace, Table
+
+from conftest import dump
 
 
 def test_graph_roundtrip(c4):
@@ -53,7 +55,7 @@ def test_moves_list_roundtrip(c4):
 def test_file_roundtrip(tmp_path):
     path = str(tmp_path / "graph.json")
     g = cycle_graph(5)
-    jsonio.dump(jsonio.graph_to_json(g), path)
+    dump(jsonio.graph_to_json(g), path)
     assert jsonio.graph_from_json(jsonio.load(path)) == g
 
 
@@ -75,12 +77,15 @@ def packed_tables(draw):
 
 
 @given(packed_tables())
-def test_packed_tables_to_json_matches_the_table_path(packed):
+@example(([], StateSpace((2,))))
+@example(([bytes(4)], StateSpace((2, 2))))
+@example(([bytes([255, 0, 0]), bytes([0, 128, 127]), bytes([1, 254, 0])], StateSpace((3,))))
+def test_packed_tables_text_is_the_text_of_the_table_path(packed):
     tables, space = packed
-    shared = jsonio.packed_tables_to_json(tables, space)
     one_by_one = [jsonio.table_to_json(unpack_table(b, space), space) for b in tables]
-    assert shared == one_by_one
-    assert json.dumps(shared, sort_keys=True) == json.dumps(one_by_one, sort_keys=True)
+    pieces = jsonio.packed_tables_text(tables, space)
+    assert len(pieces) == max(len(tables), 1)
+    assert "".join(pieces) == json.dumps(one_by_one, sort_keys=True)
 
 
 # each *_to_json -> JSON text -> *_from_json round trip is the identity
