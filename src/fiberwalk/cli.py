@@ -104,7 +104,7 @@ def cmd_component(args):
     moves = _load_moves(args, preset)
     rep = connected_component(start, moves, preset.space, node_cap=args.cap)
     result = {"size": rep.size, "truncated": rep.truncated}
-    if rep.packed is not None and (rep.size <= MEMBER_DUMP_LIMIT or args.dump):
+    if not rep.truncated and (rep.size <= MEMBER_DUMP_LIMIT or args.dump):
         result["members"] = _Text(jsonio.packed_tables_text(rep.packed, preset.space))
     return result, 0
 
@@ -279,21 +279,18 @@ def cmd_latin(args):
 
 def cmd_k33(args):
     if args.search:
-        target = resolve(args.on).graph if args.on != "k33" else None
-        found = k33_search(
-            max_pairs=args.max_pairs, max_tables=args.max_tables, graph=target
-        )
+        preset = resolve(args.on)
+        found = k33_search(max_pairs=args.max_pairs, graph=preset.graph)
         if found is None:
             return {"search": True, "on": args.on, "found": False}, 0
-        space = resolve(args.on).space
         return {
             "search": True,
             "on": args.on,
             "found": True,
             "pairs_tried": found["pairs_tried"],
-            "u_plus": jsonio.table_to_json(found["u_plus"], space),
-            "u_minus": jsonio.table_to_json(found["u_minus"], space),
-            "w": jsonio.table_to_json(found["w"], space),
+            "u_plus": jsonio.table_to_json(found["u_plus"], preset.space),
+            "u_minus": jsonio.table_to_json(found["u_minus"], preset.space),
+            "w": jsonio.table_to_json(found["w"], preset.space),
         }, 0
     return k33_run(cap=args.cap), 0
 
@@ -452,14 +449,12 @@ def build_parser() -> argparse.ArgumentParser:
     l2.set_defaults(func=cmd_latin)
 
     sp = add_parser("k33", help="the pinned six-vertex experiment")
-    sp.add_argument("--search", action="store_true", help="re-search the witness (slow)")
+    sp.add_argument("--search", action="store_true", help="re-search the witness")
     sp.add_argument("--on", choices=["k33", "g154"], default="k33",
                     help="model the --search scans")
     sp.add_argument("--max-pairs", type=nonnegative_int, default=200,
-                    help="bound the candidate pairs --search tries after it has enumerated "
-                         "every degree-4 table; any N > 0 still enumerates all of them")
-    sp.add_argument("--max-tables", type=nonnegative_int, default=None,
-                    help="bound the degree-4 enumeration phase of --search")
+                    help="bound the candidate pairs --search tries; 0 tries none and "
+                         "enumerates no table")
     sp.add_argument("--cap", type=int, default=4096)
     sp.set_defaults(func=cmd_k33)
 

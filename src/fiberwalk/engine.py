@@ -54,8 +54,8 @@ def pack_move_set(moves: Sequence[Move], space: StateSpace):
     """The moves packed by the kernel over the cells of space.
 
     Packing is memoised by content: callers that search under the same
-    moves (k33_run's four searches, k33_search's one per candidate) pack
-    them once.  The key also holds the kernel's pack_moves, so a set is
+    moves more than once (k33_run's three closures and its path search)
+    pack them once.  The key also holds the kernel's pack_moves, so a set is
     never handed to functions other than those of the backend that packed
     it, even when the kernel's names are rebound."""
     return _pack_move_set(tuple(moves), space, kernel.pack_moves)
@@ -76,22 +76,30 @@ class ComponentReport:
     """BFS closure of a start table under a move set."""
 
     start: Table
-    size: int
     truncated: bool
     space: StateSpace
-    packed: Optional[tuple[bytes, ...]] = None  # sorted packed members; None above cap
+    visited: set[bytes]  # the kernel's packed closure; a prefix of it when truncated
+
+    @property
+    def size(self) -> int:
+        return len(self.visited)
+
+    @cached_property
+    def packed(self) -> Optional[tuple[bytes, ...]]:
+        """The packed members sorted, on first use; None when truncated."""
+        return None if self.truncated else tuple(sorted(self.visited))
 
     @cached_property
     def members(self) -> Optional[tuple[Table, ...]]:
-        """The members in canonical order, unpacked once; None when not kept."""
+        """The members in canonical order, unpacked once; None when truncated."""
         if self.packed is None:
             return None
         return tuple(unpack_table(b, self.space) for b in self.packed)
 
-    @cached_property
-    def member_set(self) -> frozenset[bytes]:
-        """The packed members as a set, built once; empty when they were not kept."""
-        return frozenset(self.packed or ())
+    @property
+    def member_set(self) -> set[bytes]:
+        """The packed members; empty when the closure was truncated."""
+        return set() if self.truncated else self.visited
 
     def contains(self, t: Table) -> bool:
         """Whether t is a member, by its packed bytes; a table that cannot be
@@ -108,7 +116,6 @@ def connected_component(
     moves: Sequence[Move],
     space: StateSpace,
     node_cap: int = DEFAULT_NODE_CAP,
-    keep_members: bool = True,
 ) -> ComponentReport:
     """Exact component when its size fits in node_cap, else a truncated report."""
     if node_cap < 1:
@@ -118,9 +125,7 @@ def connected_component(
     # the compiled kernel reads the cap as a C size; no closure is larger
     cap = min(node_cap, sys.maxsize)
     visited, truncated = kernel.component(pack_table(start, space), pm, cap)
-    packed = tuple(sorted(visited)) if keep_members and not truncated else None
-    return ComponentReport(start=start, size=len(visited), truncated=truncated, space=space,
-                           packed=packed)
+    return ComponentReport(start=start, truncated=truncated, space=space, visited=visited)
 
 
 @dataclass

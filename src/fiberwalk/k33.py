@@ -4,8 +4,8 @@ A pinned quartic pair with equal margins, padded by one or two copies of a
 fixed degree-2 monomial: with one copy the two padded terms sit in
 disjoint 18-element components of the quadratic-move graph; with two
 copies they join a single 90-element component.  The optional search mode
-re-discovers such a witness from scratch instead of trusting the pinned
-one.
+re-discovers such a witness from scratch, on the engine's integer tables,
+instead of trusting the pinned one.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import are_connected, connected_component
+from . import _kernel as kernel
+from .engine import _cell_codes, are_connected, connected_component, pack_move_set, unpack_table
 from .errors import InvalidStateError
 from .graphs import LabeledGraph, global_markov_moves, margin_map, margins
 from .tables import Table
@@ -92,61 +93,54 @@ def k33_run(cap: int = 4096) -> dict:
     }
 
 
-def k33_search(
-    max_pairs: int = 200,
-    max_tables: Optional[int] = None,
-    graph: Optional[LabeledGraph] = None,
-) -> Optional[dict]:
+def k33_search(max_pairs: int = 200, graph: Optional[LabeledGraph] = None) -> Optional[dict]:
     """Search for a (pair, cofactor) witness instead of using the pinned one.
 
-    Scans equal-margin degree-4 table pairs that the quadratic moves fail
-    to connect, then degree-2 cofactors w with (u+w, v+w) still split but
-    (u+2w, v+2w) joined.  Every degree-4 0/1 table is enumerated first
-    (635,376 on K(3,3)); only max_tables bounds that phase, and max_pairs
-    bounds the candidate pairs tried after it.  Returns the first witness
-    found or None.  Nothing is asserted about the outcome.
+    Scans equal-margin degree-4 0/1 table pairs with disjoint supports that
+    the quadratic moves fail to connect, then degree-2 cofactors w with
+    (u+w, v+w) still split but (u+2w, v+2w) joined.  The tables are the
+    engine's integers, margin key above the packed cells (see
+    `engine._cell_codes`); the 635,376 of K(3,3) take about 0.5 s to
+    enumerate and group, margin classes in key order, each class in
+    state-combination order.  max_pairs bounds the candidate pairs tried.
+    Returns the first witness found, as Tables, or None.  Nothing is
+    asserted about the outcome.
     """
     if max_pairs == 0:
         return None  # no pair may be tried, so nothing is enumerated
     g = graph if graph is not None else k33_graph()
     am = margin_map(g)
     space = g.levels
-    moves = global_markov_moves(g)
+    pm = pack_move_set(global_markov_moves(g), space)
+    n = am.n_cols
+    cells = 8 * n
+    mask = (1 << cells) - 1
+    # degree-4 margin fields are at most 4, so 4 bits hold them
+    codes = _cell_codes(am, 4)
+    # stable on the key alone: each class keeps its combination order
+    tables = sorted(map(sum, itertools.combinations(codes, 4)), key=lambda t: t >> cells)
+    pads = [sum(c) for c in itertools.combinations_with_replacement([c & mask for c in codes], 2)]
 
-    by_margin: dict[tuple, list[Table]] = {}
-    states = list(space.states())
-    for n_seen, combo in enumerate(itertools.combinations(states, 4)):
-        if max_tables is not None and n_seen >= max_tables:
-            break
-        t = Table([(s, 1) for s in combo])
-        by_margin.setdefault(margins(am, t), []).append(t)
+    def packed(t: int) -> bytes:
+        return t.to_bytes(n, "big")
 
-    def split(u: Table, v: Table, pad: Table) -> Optional[bool]:
-        comp = connected_component(u + pad, moves, space, node_cap=SEARCH_COMPONENT_CAP)
-        if comp.truncated:
-            return None
-        return not comp.contains(v + pad)
+    def split(u: int, v: int, pad: int) -> Optional[bool]:
+        visited, truncated = kernel.component(packed(u + pad), pm, SEARCH_COMPONENT_CAP)
+        return None if truncated else packed(v + pad) not in visited
 
     tried = 0
-    for key in sorted(by_margin):
-        group = by_margin[key]
-        if len(group) < 2:
-            continue
+    for _, cls in itertools.groupby(tables, key=lambda t: t >> cells):
+        group = [t & mask for t in cls]
         for u, v in itertools.combinations(group, 2):
-            if set(u.support) & set(v.support):
+            if u & v:  # 0/1 cells: a shared cell
                 continue
             if tried >= max_pairs:
                 return None
             tried += 1
-            if split(u, v, Table()) is not True:
+            if split(u, v, 0) is not True:
                 continue
-            for w_states in itertools.combinations_with_replacement(states, 2):
-                w = Table([(s, 1) for s in w_states])
-                if split(u, v, w) is True and split(u, v, w + w) is False:
-                    return {
-                        "u_plus": u,
-                        "u_minus": v,
-                        "w": w,
-                        "pairs_tried": tried,
-                    }
+            for w in pads:
+                if split(u, v, w) is True and split(u, v, 2 * w) is False:
+                    u_plus, u_minus, w = (unpack_table(packed(t), space) for t in (u, v, w))
+                    return {"u_plus": u_plus, "u_minus": u_minus, "w": w, "pairs_tried": tried}
     return None

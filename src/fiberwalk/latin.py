@@ -213,7 +213,7 @@ def verify_disconnection(g: LabeledGraph, t: Table, node_cap: int = 100_000) -> 
     am = margin_map(g)
     y = margins(am, t)
     moves = global_markov_moves(g)
-    comp = connected_component(t, moves, g.levels, node_cap=node_cap, keep_members=False)
+    comp = connected_component(t, moves, g.levels, node_cap=node_cap)
 
     if am.n_cols <= MAX_FACET_COLUMNS and am.rank <= MAX_FACET_RANK:
         interior = is_relative_interior(am, y, cone_facets(am))

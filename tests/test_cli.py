@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 import fiberwalk
 from fiberwalk import jsonio, k33
 from fiberwalk.cli import build_parser, main
-from fiberwalk.engine import connected_component, unpack_table
+from fiberwalk.engine import _cell_codes, connected_component, unpack_table
 from fiberwalk.families import cycle_graph
-from fiberwalk.graphs import global_markov_moves, margins
+from fiberwalk.graphs import global_markov_moves
 from fiberwalk.presets import resolve
 from fiberwalk.tables import Table
 
@@ -240,6 +240,25 @@ def test_component_dump_writes_the_same_text_to_the_file_and_stdout(tmp_path, ca
     assert text == with_c5_member_dicts(text)
 
 
+def test_component_sorts_no_members_it_does_not_write(tmp_path, capsys, monkeypatch):
+    import fiberwalk.cli as cli
+
+    reports = []
+
+    def kept(*args, **kwargs):
+        reports.append(connected_component(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "connected_component", kept)
+    monkeypatch.setattr(cli, "MEMBER_DUMP_LIMIT", 69)
+    argv = component_c5(tmp_path)
+    code, rep = run(capsys, *argv)
+    assert code == 0 and rep["result"]["size"] == 70 and "members" not in rep["result"]
+    assert "packed" not in vars(reports[-1])  # no sorted member tuple was built
+    code, rep = run(capsys, *argv, "--dump")
+    assert len(rep["result"]["members"]) == 70 and "packed" in vars(reports[-1])
+
+
 def test_member_slot_text_in_a_parameter_is_not_spliced(tmp_path, capsys):
     from fiberwalk.cli import MEMBERS_SLOT
 
@@ -310,7 +329,7 @@ def test_check_margins_graph_file_with_family(tmp_path, capsys):
     assert code == 0 and rep["result"]["holds"] is True
 
 
-@pytest.mark.parametrize("option", ["--max-pairs", "--max-tables"])
+@pytest.mark.parametrize("option", ["--max-pairs"])
 def test_k33_search_negative_cap_is_a_usage_error(capsys, option):
     with pytest.raises(SystemExit) as exc:
         main(["k33", "--search", option, "-1"])
@@ -319,25 +338,33 @@ def test_k33_search_negative_cap_is_a_usage_error(capsys, option):
 
 
 def test_k33_bounded_search_smoke(capsys):
-    # tightly bounded: exercises the search loop, asserts nothing was found
-    # within the tiny budget (the full search is a long-running opt-in)
-    code, rep = run(capsys, "k33", "--search", "--max-pairs", "5", "--max-tables", "2000")
+    # the witness comes at pair 140, so 5 pairs find nothing
+    code, rep = run(capsys, "k33", "--search", "--max-pairs", "5")
     assert code == 0
     assert rep["result"]["found"] is False
+
+
+def test_k33_search_finds_nothing_on_g154(capsys):
+    code, rep = run(capsys, "k33", "--search", "--on", "g154")
+    assert code == 0
+    assert rep["result"] == {"search": True, "on": "g154", "found": False}
 
 
 def test_k33_search_with_no_pairs_enumerates_nothing(monkeypatch, capsys):
     calls = []
 
-    def counted(am, t):
-        calls.append(t)
-        return margins(am, t)
+    def counted(am, width):
+        calls.append(am)
+        return _cell_codes(am, width)
 
-    monkeypatch.setattr(k33, "margins", counted)
+    monkeypatch.setattr(k33, "_cell_codes", counted)
     code, rep = run(capsys, "k33", "--search", "--max-pairs", "0")
     assert code == 0
     assert rep["result"]["found"] is False
     assert calls == []
+    # one pair on the small c4 model does enumerate
+    k33.k33_search(max_pairs=1, graph=resolve("c4").graph)
+    assert len(calls) == 1
 
 
 def write_graph(tmp_path, name):
@@ -526,7 +553,8 @@ def fuzz_files(tmp_path_factory):
 
 # Small, negative and huge values.  Every case below stays cheap whatever
 # value it draws: the work an option would start at a large value is refused
-# at the boundary, or another option of the case bounds it.
+# at the boundary, or another option of the case bounds it, or (`k33
+# --search`) the search stops at its witness, in about 1.5 s.
 NUMBER = st.integers(-3, 3) | st.integers(-(10 ** 6), -1) | st.sampled_from(
     [10 ** 6, 2 ** 63, 10 ** 30])
 
@@ -558,12 +586,7 @@ def fuzz_cases(f):
         "latin disconnect --cap": lambda n: ["latin", "disconnect", "--graph", f["c3"],
                                              "--order", "2", "--cap", n],
         "k33 --cap": lambda n: ["k33", "--cap", n],
-        "k33 --max-pairs": lambda n: ["k33", "--search", "--max-tables", "40",
-                                      "--max-pairs", n],
-        # only --max-tables bounds the enumeration of --search, so it stays small there
-        "k33 --max-tables": lambda n: ["k33", "--search", "--max-pairs", "1", "--max-tables",
-                                       str(min(int(n), 40))],
-        "k33 --max-tables unused": lambda n: ["k33", "--max-tables", n],
+        "k33 --max-pairs": lambda n: ["k33", "--search", "--max-pairs", n],
     }
 
 

@@ -1,10 +1,18 @@
+import itertools
 import random
 
+import pytest
+
 from fiberwalk import _kernel
-from fiberwalk.engine import are_connected, connected_component
+from fiberwalk.engine import are_connected, connected_component, pack_table
 from fiberwalk.graphs import global_markov_moves, margin_map, margins
-from fiberwalk.k33 import k33_graph, k33_run, k33_witness
-from fiberwalk.tables import apply_move
+from fiberwalk.k33 import k33_graph, k33_run, k33_search, k33_witness
+from fiberwalk.presets import resolve
+from fiberwalk.tables import Table, apply_move
+
+
+def cells(*codes: str) -> Table:
+    return Table([(tuple(int(c) for c in code), 1) for code in codes])
 
 
 def test_witness_is_well_posed():
@@ -77,3 +85,67 @@ def test_components_independent_of_move_order():
     a = connected_component(wit.u_plus + wit.w + wit.w, moves, g.levels, node_cap=4096)
     b = connected_component(wit.u_plus + wit.w + wit.w, shuffled, g.levels, node_cap=4096)
     assert set(a.members) == set(b.members)
+
+
+def test_search_rederives_the_witness_at_pair_140():
+    found = k33_search()
+    u = cells("211221", "212222", "221212", "222121")
+    v = cells("211222", "212221", "221211", "222122")
+    w = cells("111111", "111122")
+    assert found == {"u_plus": u, "u_minus": v, "w": w, "pairs_tried": 140}
+    g = k33_graph()
+    moves = global_markov_moves(g)
+    a = connected_component(u + w, moves, g.levels, node_cap=4096)
+    b = connected_component(v + w, moves, g.levels, node_cap=4096)
+    joint = connected_component(u + w + w, moves, g.levels, node_cap=4096)
+    assert (a.size, b.size, joint.size) == (18, 18, 90)
+    assert not (a.truncated or b.truncated or joint.truncated)
+    assert a.member_set.isdisjoint(b.member_set)
+    assert joint.contains(v + w + w)
+
+
+def table_pairs(graph):
+    """The search's candidate pairs built from Tables, as packed bytes: the
+    degree-4 0/1 tables grouped by margins, classes in margin order, each
+    in state-combination order, and the pairs with disjoint supports."""
+    am = margin_map(graph)
+    by_margin = {}
+    for combo in itertools.combinations(graph.levels.states(), 4):
+        t = Table([(s, 1) for s in combo])
+        by_margin.setdefault(margins(am, t), []).append(t)
+    return [
+        (pack_table(u, graph.levels), pack_table(v, graph.levels))
+        for key in sorted(by_margin)
+        for u, v in itertools.combinations(by_margin[key], 2)
+        if set(u.support).isdisjoint(v.support)
+    ]
+
+
+def searched_pairs(monkeypatch, graph):
+    """The pairs k33_search tries, in order: the start of each degree-4
+    closure (pads raise the degree) and the first table looked up in it."""
+    events = []
+    component = _kernel.component
+
+    class Lookups(set):
+        def __contains__(self, b):
+            events.append(("lookup", b))
+            return set.__contains__(self, b)
+
+    def recording(start, pm, cap):
+        events.append(("start", start))
+        visited, truncated = component(start, pm, cap)
+        return Lookups(visited), truncated
+
+    monkeypatch.setattr(_kernel, "component", recording)
+    k33_search(max_pairs=10 ** 6, graph=graph)
+    return [(a, b) for (ka, a), (kb, b) in zip(events, events[1:])
+            if ka == "start" and sum(a) == 4 and kb == "lookup"]
+
+
+@pytest.mark.parametrize("name", ["c4", "k22"])
+def test_search_tries_the_pairs_in_table_order(monkeypatch, name):
+    graph = resolve(name).graph
+    expected = table_pairs(graph)
+    assert len(expected) == 90  # every candidate: no witness on these models
+    assert searched_pairs(monkeypatch, graph) == expected
