@@ -376,11 +376,16 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--preset", choices=PRESET_NAMES, help="named model")
         sp.add_argument("--k2n-levels", type=int, nargs="*", help="levels for the k2n preset")
 
+    def add_move_opts(sp):
+        source = sp.add_mutually_exclusive_group()
+        source.add_argument("--moves", help="moves JSON file")
+        source.add_argument("--global-markov", action="store_true",
+                            help="use the graph's quadratic moves")
+
     sp = add_parser("component", help="BFS closure of a table under moves")
     add_graph_opts(sp)
     sp.add_argument("--start", help="table JSON file")
-    sp.add_argument("--moves", help="moves JSON file")
-    sp.add_argument("--global-markov", action="store_true", help="use the graph's quadratic moves")
+    add_move_opts(sp)
     sp.add_argument("--cap", type=int, default=1_000_000)
     sp.add_argument("--dump", action="store_true",
                     help="list the members even when there are more than "
@@ -391,8 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_opts(sp)
     sp.add_argument("--u", required=True)
     sp.add_argument("--v", required=True)
-    sp.add_argument("--moves")
-    sp.add_argument("--global-markov", action="store_true")
+    add_move_opts(sp)
     sp.add_argument("--cap", type=int, default=1_000_000)
     sp.set_defaults(func=cmd_connected)
 

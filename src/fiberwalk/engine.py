@@ -171,6 +171,8 @@ def are_connected(
     definite "not-connected" when either side is exhausted below its cap,
     and "inconclusive" when both searches were truncated first.
     """
+    if node_cap < 1:
+        raise TooLargeError("node_cap must be >= 1")
     u.validate_on(space)
     v.validate_on(space)
     pm = pack_move_set(moves, space)

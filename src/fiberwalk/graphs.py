@@ -4,11 +4,17 @@ The graph-side operations: graphical separation, enumeration of the
 covering conditional-independence statements, the quadratic swap moves
 those statements induce, the 0/1 clique-marginal matrix, the components
 left after removing vertices, and coning.
+
+`global_markov_moves` builds the quadratic moves straight from the vertex
+sets whose induced graph is disconnected, each move once.  The statement
+path (`global_markov_statements`, then `ci_quadratic_moves` per statement
+and `dedup_moves`) gives the same list and is kept as its reference.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import FrozenSet, Iterable
@@ -18,7 +24,8 @@ from .tables import Move, StateSpace, Table, dedup_moves, state_index
 
 VertexSet = FrozenSet[int]
 
-# 3^N labelings are enumerated for statement generation; hard cap.
+# Hard cap on the vertices of a graph whose statements or moves are listed:
+# statements walk the 3^N vertex labelings, moves the 2^N vertex subsets.
 MAX_STATEMENT_VERTICES = 12
 
 
@@ -177,11 +184,66 @@ def ci_quadratic_moves(st: CIStatement, space: StateSpace) -> list[Move]:
 
 
 def global_markov_moves(g: LabeledGraph) -> list[Move]:
-    """Union of the quadratic moves over all covering statements, deduplicated."""
-    all_moves = []
-    for st in global_markov_statements(g):
-        all_moves.extend(ci_quadratic_moves(st, g.levels))
-    return dedup_moves(all_moves)
+    """Union of the quadratic moves over all covering statements, each built once.
+
+    A move swaps, between two cells x and y that agree off a vertex set D
+    and differ at every vertex of D, their values on a part D_A of D.  It
+    belongs to some covering statement exactly when D_A is a nonempty union
+    of components of the induced graph G[D] and D_B = D - D_A is nonempty:
+    then C = V - D separates the two parts.  So the moves come from the
+    subsets D whose induced graph is disconnected, the splits of its
+    components in two, the shared values off D, and the unordered pairs of
+    value vectors on D that differ everywhere.  Each move is reached from
+    both of its sides; only the side holding its smallest cell is kept, as
+    the plus part (`Move.canonical`).  The list equals `dedup_moves` over
+    `ci_quadratic_moves` of `global_markov_statements`, in `Move.key` order.
+    """
+    n = g.n_vertices
+    if n > MAX_STATEMENT_VERTICES:
+        raise TooLargeError(f"statement enumeration capped at {MAX_STATEMENT_VERTICES} vertices")
+    everyone = frozenset(g.vertices)
+    found = []
+    for size in range(2, n + 1):
+        for d in itertools.combinations(g.vertices, size):
+            comps = components_without(g, everyone.difference(d))
+            if len(comps) < 2:
+                continue
+            rest = [v for v in g.vertices if v not in d]
+            # the state whose values on d, then on rest, are the given ones
+            order = list(d) + rest
+            gather = operator.itemgetter(*(order.index(w) for w in g.vertices))
+            vecs = list(_block_states(g.levels, list(d)))
+            # x < y: they first differ at min(d)
+            pairs = [
+                (u, v)
+                for u in vecs
+                for v in vecs
+                if u[0] < v[0] and all(a != b for a, b in zip(u, v))
+            ]
+            outside = list(_block_states(g.levels, rest))
+            # comps[0] holds min(d); keep it in D_A so each split comes once
+            for pick in range(2 ** (len(comps) - 1) - 1):
+                part_a = comps[0].union(*(c for j, c in enumerate(comps[1:]) if pick >> j & 1))
+                in_a = [v in part_a for v in d]
+                # x' = (y on D_A, x on D_B) and y' = (x on D_A, y on D_B) make
+                # the minus part.  x < x' as min(d) is in D_A, and x < y' iff x
+                # is lower at min(D_B): keep only those pairs, whose plus part
+                # then holds the move's smallest cell
+                b0 = in_a.index(False)
+                for u, v in pairs:
+                    if u[b0] > v[b0]:
+                        continue
+                    up = tuple(b if a_side else a for a, b, a_side in zip(u, v, in_a))
+                    vp = tuple(a if a_side else b for a, b, a_side in zip(u, v, in_a))
+                    for z in outside:
+                        x, y = gather(u + z), gather(v + z)
+                        xp, yp = gather(up + z), gather(vp + z)
+                        found.append((x, y) + ((xp, yp) if xp < yp else (yp, xp)))
+    found.sort()
+    return [
+        Move(Table._trusted(((x, 1), (y, 1))), Table._trusted(((xp, 1), (yp, 1))))
+        for x, y, xp, yp in found
+    ]
 
 
 def maximal_cliques(g: LabeledGraph) -> list[tuple[int, ...]]:

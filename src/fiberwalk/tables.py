@@ -112,6 +112,16 @@ class Table:
         raise AttributeError("Table is immutable")
 
     @classmethod
+    def _trusted(cls, cells: tuple[tuple[State, int], ...]) -> "Table":
+        """A table from cells its caller built: sorted distinct state tuples
+        with positive int counts.  Nothing is checked or merged."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "_cells", cells)
+        object.__setattr__(t, "_degree", sum(c for _, c in cells))
+        object.__setattr__(t, "_hash", hash(cells))
+        return t
+
+    @classmethod
     def unit(cls, state: State) -> "Table":
         return cls([(tuple(state), 1)])
 

@@ -497,6 +497,37 @@ def test_verify_basis_family_and_moves_are_exclusive(tmp_path, capsys):
     assert code == 0 and rep["result"]["n_moves"] == 0 and rep["result"]["passed"] is False
 
 
+def c4_table_args(command, f):
+    """The start table (`component`) or the two tables (`connected`) on c4."""
+    return ["--start", f["u"]] if command == "component" else ["--u", f["u"], "--v", f["v"]]
+
+
+@pytest.mark.parametrize("command", ["component", "connected"])
+def test_moves_file_and_global_markov_are_exclusive(fuzz_files, tmp_path, capsys, command):
+    mpath = str(tmp_path / "empty.json")
+    dump([], mpath)
+    argv = [command, "--preset", "c4", *c4_table_args(command, fuzz_files)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--moves", mpath, "--global-markov"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+    _, by_file = run(capsys, *argv, "--moves", mpath)
+    _, by_graph = run(capsys, *argv, "--global-markov")
+    if command == "component":
+        assert (by_file["result"]["size"], by_graph["result"]["size"]) == (1, 2)
+    else:
+        assert by_file["result"]["status"] == "not-connected"
+        assert by_graph["result"]["status"] == "connected"
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+@pytest.mark.parametrize("command", ["component", "connected"])
+def test_component_and_connected_refuse_the_same_caps(fuzz_files, capsys, command, cap):
+    code, rep = run(capsys, command, "--preset", "c4", *c4_table_args(command, fuzz_files),
+                    "--global-markov", "--cap", cap)
+    assert code == 1 and rep["error"] == "node_cap must be >= 1"
+
+
 @pytest.mark.parametrize("argv", [
     ["family", "cycle-basis", "9"],
     ["family", "primes", "--graph", "cycle", "--n", "9", "--count-only"],

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fiberwalk.errors import InvalidPartitionError, InvalidStateError, TooLargeError
 from fiberwalk.graphs import (
@@ -16,7 +18,8 @@ from fiberwalk.graphs import (
     maximal_cliques,
     separates,
 )
-from fiberwalk.tables import Move, Table
+from fiberwalk.presets import resolve
+from fiberwalk.tables import Move, Table, dedup_moves
 
 
 def test_separates_c4(c4):
@@ -127,6 +130,87 @@ def test_global_markov_moves_counts(c4):
     assert len(global_markov_moves(c4)) == 8
     k2 = LabeledGraph.build(2, [(1, 2)], [2, 2])
     assert global_markov_moves(k2) == []
+
+
+def statement_moves(g):
+    """The reference path: every covering statement's moves, deduplicated."""
+    return dedup_moves(
+        m for s in global_markov_statements(g) for m in ci_quadratic_moves(s, g.levels)
+    )
+
+
+def assert_same_move_lists(got, expected):
+    assert len(got) == len(expected)
+    for m, r in zip(got, expected):
+        assert (m.plus.items(), m.minus.items()) == (r.plus.items(), r.minus.items())
+        assert (m.plus.degree, m.minus.degree, hash(m.plus), hash(m.minus)) == (
+            r.plus.degree, r.minus.degree, hash(r.plus), hash(r.minus))
+
+
+@pytest.mark.parametrize("name, count", [
+    ("c4", 8), ("c5", 80), ("k23", 56), ("seth-c4-3", 162), ("k33", 192),
+])
+def test_global_markov_moves_pinned_presets(name, count):
+    g = resolve(name).graph
+    moves = global_markov_moves(g)
+    assert len(moves) == count
+    assert_same_move_lists(moves, statement_moves(g))
+
+
+def statement_move_work(g):
+    """Moves the reference path builds before deduplication: sum over the
+    statements of |X_C| * C(|X_A|, 2) * C(|X_B|, 2)."""
+    def cells(part):
+        k = 1
+        for v in part:
+            k *= g.levels.levels[v - 1]
+        return k
+
+    return sum(
+        cells(s.part_c) * (cells(s.part_a) * (cells(s.part_a) - 1) // 2)
+        * (cells(s.part_b) * (cells(s.part_b) - 1) // 2)
+        for s in global_markov_statements(g)
+    )
+
+
+# the reference path builds some tens of thousands of moves a second, so the
+# drawn graphs keep its work below this: on sparse graphs of six or seven
+# vertices it would take tens of seconds
+REFERENCE_WORK = 4000
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on 2-7 vertices with levels 2-3: the first k of a shuffled
+    list of vertex pairs are the edges.  Where the reference path's work
+    would pass REFERENCE_WORK, the levels become binary and, if that is not
+    enough, the next pairs of the list are added as edges."""
+    n = draw(st.integers(2, 7))
+    pairs = draw(st.permutations(list(itertools.combinations(range(1, n + 1), 2))))
+    k = draw(st.integers(0, len(pairs)))
+    levels = draw(st.lists(st.integers(2, 3), min_size=n, max_size=n))
+    g = LabeledGraph.build(n, pairs[:k], levels)
+    if statement_move_work(g) > REFERENCE_WORK:
+        g = LabeledGraph.build(n, pairs[:k], [2] * n)
+    while statement_move_work(g) > REFERENCE_WORK:
+        k += 1
+        g = LabeledGraph.build(n, pairs[:k], [2] * n)
+    return g
+
+
+@settings(max_examples=40)
+@example(LabeledGraph.build(4, [], [2, 3, 2, 2]))
+@example(LabeledGraph.build(6, itertools.combinations(range(1, 7), 2), [3, 2, 3, 2, 2, 3]))
+@example(LabeledGraph.build(5, [(1, 2), (3, 4), (4, 5)], [2, 2, 2, 2, 3]))
+@given(small_graphs())
+def test_global_markov_moves_match_statement_path(g):
+    assert_same_move_lists(global_markov_moves(g), statement_moves(g))
+
+
+def test_global_markov_moves_cap():
+    g = LabeledGraph.build(13, [(i, i + 1) for i in range(1, 13)], [2] * 13)
+    with pytest.raises(TooLargeError):
+        global_markov_moves(g)
 
 
 def test_all_generated_moves_margin_neutral(c4, c5, k23):
