@@ -15,6 +15,7 @@ error, 2 usage error; a reader that closes stdout early does not change it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -90,7 +91,8 @@ def _load_moves(args, preset: Preset):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (result_dict, exit_code)
+# subcommand handlers, named cmd_<command> with "-" as "_" (main finds them
+# by that name): each returns (result_dict, exit_code)
 
 
 def cmd_component(args):
@@ -292,7 +294,7 @@ def cmd_k33(args):
             "u_minus": jsonio.table_to_json(found["u_minus"], preset.space),
             "w": jsonio.table_to_json(found["w"], preset.space),
         }, 0
-    return k33_run(cap=args.cap), 0
+    return k33_run(), 0
 
 
 def _table1_row(name: str) -> dict:
@@ -355,6 +357,7 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+@functools.cache  # built on first use, then shared by every main call
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fiberwalk",
@@ -390,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dump", action="store_true",
                     help="list the members even when there are more than "
                          f"MEMBER_DUMP_LIMIT = {MEMBER_DUMP_LIMIT:,}")
-    sp.set_defaults(func=cmd_component)
 
     sp = add_parser("connected", help="bidirectional search between two tables")
     add_graph_opts(sp)
@@ -398,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--v", required=True)
     add_move_opts(sp)
     sp.add_argument("--cap", type=int, default=1_000_000)
-    sp.set_defaults(func=cmd_connected)
 
     sp = add_parser("verify-basis", help="do the moves connect every fiber up to a degree?")
     add_graph_opts(sp)
@@ -406,51 +407,42 @@ def build_parser() -> argparse.ArgumentParser:
     basis.add_argument("--moves")
     basis.add_argument("--family", choices=["cycle", "k2n"])
     sp.add_argument("--max-degree", type=int, required=True)
-    sp.set_defaults(func=cmd_verify_basis)
 
     sp = add_parser("facets", help="exact facets of the marginal cone")
     add_graph_opts(sp)
-    sp.set_defaults(func=cmd_facets)
 
     sp = add_parser("check-margins", help="margin-property verdict from prime witnesses")
     add_graph_opts(sp)
     sp.add_argument("--mode", choices=["positive", "interior"], required=True)
     sp.add_argument("--facet-source", choices=["brute", "family"], default="brute")
-    sp.set_defaults(func=cmd_check_margins)
 
     sp = add_parser("witness-disconnect", help="padded pair splitting a positive fiber")
     add_graph_opts(sp)
     sp.add_argument("--prime", help="prime id (default: first strictly-positive witness)")
     sp.add_argument("--c", type=int, default=1, help="padding multiplier")
     sp.add_argument("--cap", type=int, default=1_000_000)
-    sp.set_defaults(func=cmd_witness_disconnect)
 
     sp = add_parser("family", help="closed-form move/prime families")
     fam_sub = sp.add_subparsers(dest="what", required=True)
     f1 = fam_sub.add_parser("cycle-basis", parents=[shared])
     f1.add_argument("n", type=int)
-    f1.set_defaults(func=cmd_family)
     f2 = fam_sub.add_parser("k2n-basis", parents=[shared])
     f2.add_argument("levels", type=int, nargs="+", help="second-group levels d3 d4 ...")
-    f2.set_defaults(func=cmd_family)
     f3 = fam_sub.add_parser("primes", parents=[shared])
     f3.add_argument("--graph", choices=["cycle", "k2n"], required=True,
                     help="which closed-form family")
     f3.add_argument("--n", type=int, help="cycle length")
     f3.add_argument("--levels", type=int, nargs="*", help="k2n second-group levels")
     f3.add_argument("--count-only", action="store_true")
-    f3.set_defaults(func=cmd_family)
 
     sp = add_parser("latin", help="orthogonal Latin squares and isolation reports")
     lat_sub = sp.add_subparsers(dest="what", required=True)
     l1 = lat_sub.add_parser("mols", parents=[shared])
     l1.add_argument("q", type=int)
-    l1.set_defaults(func=cmd_latin)
     l2 = lat_sub.add_parser("disconnect", parents=[shared])
     add_graph_opts(l2)
     l2.add_argument("--order", type=int, required=True)
     l2.add_argument("--cap", type=int, default=100_000)
-    l2.set_defaults(func=cmd_latin)
 
     sp = add_parser("k33", help="the pinned six-vertex experiment")
     sp.add_argument("--search", action="store_true", help="re-search the witness")
@@ -459,22 +451,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-pairs", type=nonnegative_int, default=200,
                     help="bound the candidate pairs --search tries; 0 tries none and "
                          "enumerates no table")
-    sp.add_argument("--cap", type=int, default=4096)
-    sp.set_defaults(func=cmd_k33)
 
     sp = add_parser("table1", help="summary-table reproduction with pinned expectations")
-    sp.set_defaults(func=cmd_table1)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up on each call, not kept in the shared parser, so a rebound
+    # cmd_ name is the one that runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     t0 = time.perf_counter()
-    params = {
-        k: v for k, v in vars(args).items() if k not in ("func", "json") and v is not None
-    }
+    params = {k: v for k, v in vars(args).items() if k != "json" and v is not None}
     envelope = {
         "experiment": args.command,
         "params": params,
@@ -482,7 +471,7 @@ def main(argv=None) -> int:
         "version": __version__,
     }
     try:
-        envelope["result"], code = args.func(args)
+        envelope["result"], code = handler(args)
     except FiberwalkError as exc:
         envelope["error"], code = str(exc), 1
     envelope["elapsed_ms"] = int((time.perf_counter() - t0) * 1000)

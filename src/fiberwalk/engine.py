@@ -120,11 +120,11 @@ def connected_component(
     """Exact component when its size fits in node_cap, else a truncated report."""
     if node_cap < 1:
         raise TooLargeError("node_cap must be >= 1")
-    start.validate_on(space)
+    packed = pack_table(start, space)  # before the moves: a bad start is reported first
     pm = pack_move_set(moves, space)
     # the compiled kernel reads the cap as a C size; no closure is larger
     cap = min(node_cap, sys.maxsize)
-    visited, truncated = kernel.component(pack_table(start, space), pm, cap)
+    visited, truncated = kernel.component(packed, pm, cap)
     return ComponentReport(start=start, truncated=truncated, space=space, visited=visited)
 
 
@@ -173,10 +173,8 @@ def are_connected(
     """
     if node_cap < 1:
         raise TooLargeError("node_cap must be >= 1")
-    u.validate_on(space)
-    v.validate_on(space)
+    bu, bv = pack_table(u, space), pack_table(v, space)  # before the moves, as above
     pm = pack_move_set(moves, space)
-    bu, bv = pack_table(u, space), pack_table(v, space)
     if bu == bv:
         return ConnectResult("connected", [])
 

@@ -1,10 +1,11 @@
 """Closed-form move and prime families for binary cycles, complete bipartite
 graphs K_{2,m} with a binary first group, and cones over binary cycles.
 
-Everything here is generated directly from the defining patterns (block
-swaps on cyclic arcs, slice swaps on tensor coordinates) and then
-canonically deduplicated; the graph-side machinery in fiberwalk.graphs is
-deliberately not reused, so the two routes can be cross-checked in tests.
+The cycle moves, the K(2,m) quartics and the prime witnesses are
+generated directly from their defining patterns (block swaps on cyclic
+arcs, sign patterns on cyclic blocks, slice patterns on tensor
+coordinates) and then canonically deduplicated.  The K(2,m) quadratic
+moves are the graph's global-Markov moves from fiberwalk.graphs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable, Optional
 
 from .cones import Functional
 from .errors import InvalidStateError, NoClosedFormError, TooLargeError, UnsupportedLevelsError
-from .graphs import LabeledGraph, MarginMap, cone_graph
+from .graphs import LabeledGraph, MarginMap, cone_graph, global_markov_moves
 from .tables import Move, State, StateSpace, Table, dedup_moves
 
 
@@ -78,6 +79,10 @@ def cycle_quadratic_moves(n: int) -> list[Move]:
     For every pair of non-adjacent positions, two cells agreeing at those
     positions trade one of the two arcs between them.
     """
+    # Not `global_markov_moves(cycle_graph(n))`: the two lists are equal up
+    # to n = 7, but at n = 8 these two-cut swaps are 20,480 of its 20,608
+    # moves; it also splits interleaved parts, such as {1,5} | {3,7} given
+    # {2,4,6,8}, which no pair of cut positions gives.
     if n < 4:
         return []
     check_cycle_size(n)
@@ -262,40 +267,11 @@ def _free_states(shape: K2NShape, vertices: list[int]):
 
 
 def k2n_quadratic_moves(shape: K2NShape) -> list[Move]:
-    """Diagonal swaps in the 2x2 first-group slice, and block swaps inside
-    each (i,j)-slice across every bipartition of the second group.
-    """
-    n = shape.n_total
-    free = list(range(3, n + 1))
-    moves = []
-    # first-group diagonal swap per second-group state
-    for k in _free_states(shape, free):
-        plus = Table([((1, 1) + k, 1), ((2, 2) + k, 1)])
-        minus = Table([((1, 2) + k, 1), ((2, 1) + k, 1)])
-        moves.append(Move(plus, minus))
-    # in-slice swaps: bipartition the second group, trade one side
-    for i, j in itertools.product((1, 2), repeat=2):
-        for r in range(1, len(free)):
-            for s_verts in itertools.combinations(free, r):
-                t_verts = [v for v in free if v not in s_verts]
-                s_vals = list(_free_states(shape, list(s_verts)))
-                t_vals = list(_free_states(shape, t_verts))
-
-                def cell(sv, tv):
-                    coords = [0] * n
-                    coords[0], coords[1] = i, j
-                    for v, c in zip(s_verts, sv):
-                        coords[v - 1] = c
-                    for v, c in zip(t_verts, tv):
-                        coords[v - 1] = c
-                    return tuple(coords)
-
-                for sv, sv2 in itertools.combinations(s_vals, 2):
-                    for tv, tv2 in itertools.combinations(t_vals, 2):
-                        plus = Table([(cell(sv, tv), 1), (cell(sv2, tv2), 1)])
-                        minus = Table([(cell(sv2, tv), 1), (cell(sv, tv2), 1)])
-                        moves.append(Move(plus, minus))
-    return dedup_moves(moves)
+    """The graph's global-Markov quadratic moves.  In K(2,m) an induced
+    subgraph G[D] is disconnected exactly when D = {1, 2} (the diagonal
+    swaps in the 2x2 first-group slice) or D is two or more second-group
+    vertices (the block swaps inside each (i,j)-slice)."""
+    return global_markov_moves(k2n_graph(shape))
 
 
 def k2n_quartic_moves(shape: K2NShape) -> list[Move]:

@@ -72,7 +72,8 @@ def _cells_from_json(cells) -> Table:
     pairs = []
     for cell in _list(cells, "cells"):
         state, count = _pair(cell, "cell")
-        pairs.append((tuple(_list(state, "state")), _integer(count, "count")))
+        state = tuple(_integer(c, "coordinate") for c in _list(state, "state"))
+        pairs.append((state, _integer(count, "count")))
     return Table(pairs)
 
 

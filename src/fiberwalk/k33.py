@@ -16,12 +16,14 @@ from typing import Optional
 
 from . import _kernel as kernel
 from .engine import _cell_codes, are_connected, connected_component, pack_move_set, unpack_table
-from .errors import InvalidStateError
 from .graphs import LabeledGraph, global_markov_moves, margin_map, margins
 from .tables import Table
 
 # closures larger than this leave a search candidate undecided
 SEARCH_COMPONENT_CAP = 512
+# the pinned closures hold 18, 18 and 90 tables and the path search stays
+# inside the 90, so this cap never binds
+RUN_NODE_CAP = 4096
 
 
 def k33_graph() -> LabeledGraph:
@@ -54,10 +56,8 @@ def k33_witness() -> K33Witness:
     )
 
 
-def k33_run(cap: int = 4096) -> dict:
+def k33_run() -> dict:
     """Reproduce the pinned component sizes (18 / 18 disjoint, 90 joint)."""
-    if cap < 128:
-        raise InvalidStateError("cap too small to settle the components")
     g = k33_graph()
     wit = k33_witness()
     am = margin_map(g)
@@ -65,11 +65,11 @@ def k33_run(cap: int = 4096) -> dict:
         raise AssertionError("pinned quartic pair has unequal margins")
     moves = global_markov_moves(g)
 
-    c_plus = connected_component(wit.u_plus + wit.w, moves, g.levels, node_cap=cap)
-    c_minus = connected_component(wit.u_minus + wit.w, moves, g.levels, node_cap=cap)
+    c_plus = connected_component(wit.u_plus + wit.w, moves, g.levels, node_cap=RUN_NODE_CAP)
+    c_minus = connected_component(wit.u_minus + wit.w, moves, g.levels, node_cap=RUN_NODE_CAP)
     big_start = wit.u_plus + wit.w + wit.w
     big_goal = wit.u_minus + wit.w + wit.w
-    c_big = connected_component(big_start, moves, g.levels, node_cap=cap)
+    c_big = connected_component(big_start, moves, g.levels, node_cap=RUN_NODE_CAP)
 
     inconclusive = c_plus.truncated or c_minus.truncated or c_big.truncated
     disjoint = None
@@ -79,7 +79,7 @@ def k33_run(cap: int = 4096) -> dict:
         disjoint = c_plus.member_set.isdisjoint(c_minus.member_set)
         contains_goal = c_big.contains(big_goal)
         if contains_goal:
-            res = are_connected(big_start, big_goal, moves, g.levels, node_cap=cap)
+            res = are_connected(big_start, big_goal, moves, g.levels, node_cap=RUN_NODE_CAP)
             path_len = len(res.path)
     return {
         "moves": len(moves),

@@ -337,6 +337,25 @@ def test_k33_search_negative_cap_is_a_usage_error(capsys, option):
     assert f"argument {option}: must be >= 0" in capsys.readouterr().err
 
 
+def test_k33_has_no_cap_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["k33", "--cap", "4096"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 4096" in capsys.readouterr().err
+
+
+def test_main_builds_the_parser_once(capsys):
+    build_parser.cache_clear()
+    for _ in range(2):
+        assert run(capsys, "latin", "mols", "3")[0] == 0
+        with pytest.raises(SystemExit):
+            main(["k33", "--max-pairs", "-1"])
+        assert "argument --max-pairs: must be >= 0" in capsys.readouterr().err
+    assert build_parser.cache_info().misses == 1
+    # the shared parser prints what a new one does
+    assert build_parser().format_help() == build_parser.__wrapped__().format_help()
+
+
 def test_k33_bounded_search_smoke(capsys):
     # the witness comes at pair 140, so 5 pairs find nothing
     code, rep = run(capsys, "k33", "--search", "--max-pairs", "5")
@@ -441,7 +460,10 @@ def test_incomplete_input_is_an_error_envelope(capsys, argv):
     ("[1, 2]", "must be an object"),
     ('{"d": [2], "cells": [[[1], "x"]]}', "integer"),
     ('{"d": [2], "cells": [[[1], 2.7]]}', "integer"),
-], ids=["missing", "malformed", "list", "string-count", "fractional-count"])
+    ('{"d": [2, 2, 2, 2], "cells": [[[true, 1, 2, 1], 1]]}', "coordinate must be an integer"),
+    ('{"d": [2, 2, 2, 2], "cells": [[[1.0, 1, 2, 1], 1]]}', "coordinate must be an integer"),
+], ids=["missing", "malformed", "list", "string-count", "fractional-count", "bool-coordinate",
+        "float-coordinate"])
 def test_bad_table_file_is_an_error_envelope(tmp_path, capsys, content, needle):
     path = tmp_path / "start.json"
     if content is not None:
@@ -454,7 +476,11 @@ def test_bad_table_file_is_an_error_envelope(tmp_path, capsys, content, needle):
     ('{"move": []}', '"moves"'),
     ("[[1, 2]]", "must be an object"),
     ('[{"plus": [[[1], 2.0]], "minus": [[[2], 2]]}]', "integer"),
-], ids=["no-moves-key", "list-of-lists", "float-count"])
+    ('[{"plus": [[[true, 1, 1, 1], 1]], "minus": [[[2, 1, 1, 1], 1]]}]',
+     "coordinate must be an integer"),
+    ('[{"plus": [[[1, 1, 1, 1], 1]], "minus": [[[2.0, 1, 1, 1], 1]]}]',
+     "coordinate must be an integer"),
+], ids=["no-moves-key", "list-of-lists", "float-count", "bool-coordinate", "float-coordinate"])
 def test_bad_moves_file_is_an_error_envelope(tmp_path, capsys, content, needle):
     path = tmp_path / "moves.json"
     path.write_text(content)
@@ -616,7 +642,6 @@ def fuzz_cases(f):
                                                "--order", n],
         "latin disconnect --cap": lambda n: ["latin", "disconnect", "--graph", f["c3"],
                                              "--order", "2", "--cap", n],
-        "k33 --cap": lambda n: ["k33", "--cap", n],
         "k33 --max-pairs": lambda n: ["k33", "--search", "--max-pairs", n],
     }
 

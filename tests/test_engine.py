@@ -13,7 +13,12 @@ from fiberwalk.engine import (
     pack_table,
     verify_markov_basis,
 )
-from fiberwalk.errors import FiberTooLargeError, MoveNotApplicableError, TooLargeError
+from fiberwalk.errors import (
+    FiberTooLargeError,
+    InvalidStateError,
+    MoveNotApplicableError,
+    TooLargeError,
+)
 from fiberwalk.families import (
     K2NShape,
     cycle_graph,
@@ -201,6 +206,22 @@ def test_verify_markov_basis_quadrics_fail_with_quartic_witness(c4):
     u, v = verdict.witness
     assert margins(am, u) == margins(am, v)
     assert any({m.plus, m.minus} == {u, v} for m in cycle_quartic_moves(4))
+
+
+def test_a_bad_start_is_reported_before_bad_moves(c4):
+    space = c4.levels
+    good = Table({(1, 1, 1, 1): 1})
+    bad = Table({(1, 1, 1, 1): 1, (1, 3, 1, 1): 1})
+    bad_moves = [Move(Table({(5, 1, 1, 1): 1}), Table({(1, 1, 1, 2): 1}))]
+    with pytest.raises(InvalidStateError, match=r"coordinate 2 of state \(1, 3, 1, 1\)"):
+        connected_component(bad, bad_moves, space)
+    with pytest.raises(InvalidStateError, match=r"coordinate 2 of state \(1, 3, 1, 1\)"):
+        are_connected(good, bad, bad_moves, space)
+    with pytest.raises(InvalidStateError, match=r"coordinate 1 of state \(5, 1, 1, 1\)"):
+        connected_component(good, bad_moves, space)
+    # the degree is checked before the states
+    with pytest.raises(TooLargeError, match="packed byte range"):
+        connected_component(bad + good.scale(255), [], space)
 
 
 def test_verify_markov_basis_budget():

@@ -119,8 +119,17 @@ def test_every_cycle_prime_avoided_by_some_quartic(n):
         )
 
 
-def test_k2n_quadrics_match_global_markov_moves(k23_shape, k23):
-    assert keys(k2n_quadratic_moves(k23_shape)) == keys(global_markov_moves(k23))
+# prod(d) diagonal swaps, one per second-group state, plus the block swaps
+# inside the four (i,j)-slices: (2,3) has 6 and 4 * 3
+K2N_QUADRATIC_COUNTS = {
+    (2, 2): 8, (2, 3): 18, (3, 3): 45, (2, 2, 2): 56, (2, 4): 32, (2, 2, 3): 144,
+    (2, 2, 2, 2): 416, (4, 4): 160, (2, 7): 98, (3, 3, 3): 999,
+}
+
+
+def test_k2n_quadratic_move_counts():
+    counts = {free: len(k2n_quadratic_moves(K2NShape(free))) for free in K2N_QUADRATIC_COUNTS}
+    assert counts == K2N_QUADRATIC_COUNTS
 
 
 def test_k2n_first_group_swaps_present(k23_shape):

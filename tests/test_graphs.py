@@ -148,7 +148,7 @@ def assert_same_move_lists(got, expected):
 
 
 @pytest.mark.parametrize("name, count", [
-    ("c4", 8), ("c5", 80), ("k23", 56), ("seth-c4-3", 162), ("k33", 192),
+    ("c4", 8), ("c5", 80), ("k23", 56), ("g48", 32), ("seth-c4-3", 162), ("k33", 192),
 ])
 def test_global_markov_moves_pinned_presets(name, count):
     g = resolve(name).graph
