@@ -22,10 +22,10 @@ test and one addition; its `_images` is the one path that makes images, for
 and `forward_neighbors` (which decode each image).
 
 `forward_neighbors` is the same scan filtered to the forward moves.  It has
-no caller in the library: `engine.verify_markov_basis` builds its edges
-from the moves instead.  It stays in the interface because the benchmark's
-tracer binds every kernel name and the parity tests compare it across the
-backends.
+no caller in the library: `engine.verify_markov_basis` applies no moves,
+but grows each fiber's component from shared cells.  It stays in the
+interface because the benchmark's tracer binds every kernel name and the
+parity tests compare it across the backends.
 """
 
 import os

@@ -6,12 +6,12 @@ are move applications (in either orientation).  Searches intern tables as
 packed byte strings, one byte per cell, and ask the kernel backend for each
 table's images; see fiberwalk._kernel.
 
-The Markov-basis check needs no kernel.  It enumerates every table up to a
-degree, so it writes each table as one integer: the packed cells as its
-low big-endian bytes, the margin key above them.  It builds the fiber
-graph's edges from the moves: a move applies to a table t exactly when t
-is its negative part plus a table s of lower degree, so its edges are
-(minus + s, plus + s) over every such s, found by integer additions alone.
+The Markov-basis check needs no kernel and no edges.  It enumerates every
+table up to a degree, so it writes each table as one integer: the packed
+cells as its low big-endian bytes, the margin key above them.  Once every
+fiber of lower degree is connected, two tables of a fiber that share a
+cell are connected, so a fiber's components are its classes under
+"shares a cell", joined further only by the moves of the fiber's degree.
 """
 
 from __future__ import annotations
@@ -19,12 +19,13 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import comb
+from operator import or_
 from typing import Optional, Sequence
 
 from . import _kernel as kernel
-from .errors import FiberTooLargeError, FiberwalkError, TooLargeError
+from .errors import FiberTooLargeError, FiberwalkError, InvalidMoveError, TooLargeError
 from .graphs import MarginMap
 from .tables import Move, StateSpace, Table, apply_move, state_index
 
@@ -322,6 +323,15 @@ def _degree_tables(codes: list[int], degree: int) -> list[int]:
     return tables
 
 
+def _occupied(x: int, ones: int) -> int:
+    """0xff in each packed cell byte of x that holds a nonzero count, 0 in
+    every other bit; ones is 0x01 in each cell byte.  A count's low seven
+    bits plus 0x7f reach bit 7 exactly when they are nonzero, and the
+    count's own bit 7 marks 128-255."""
+    sevens = ones * 0x7F
+    return (((((x & sevens) + sevens) | x) & (ones << 7)) >> 7) * 0xFF
+
+
 @dataclass
 class BasisVerdict:
     passed: bool
@@ -342,21 +352,23 @@ def verify_markov_basis(
     """Extensional check: do the moves connect every fiber up to a degree?
 
     Enumerates all tables of degree <= degree_bound as integers that hold
-    the margin key above the packed cells (see `_degree_tables`), and
-    union-finds the components of the fiber graph.  Its edges come from
-    the moves, not from the tables: a move of degree e applies to a table
-    t of degree d exactly when t = minus + s for a table s of degree
-    d - e, so the edges at degree d are the pairs (minus + s, plus + s)
-    over every move and every s in the kept list of degree d - e.  Every
-    pair is an edge, and they are the forward move applications to every
-    table.  Sorted, the tables run fiber by fiber in margin-key order,
-    each fiber in packed-byte order, so the first table whose root differs
-    from its fiber's first gives the canonical witness: lowest degree,
-    smallest margin key, then the two smallest tables in distinct
-    components.
+    the margin key above the packed cells (see `_degree_tables`).  Sorted,
+    they run fiber by fiber in margin-key order, each fiber in packed-byte
+    order.  The check returns at the first split fiber, so at degree d all
+    fibers of lower degree are connected, and it needs no edges:
+    - two tables of a fiber that share a cell c are connected: take c out
+      of both, follow a path in their connected fiber of degree d - 1, and
+      put c back into every step;
+    - a move of degree e < d joins minus + s and plus + s, which share the
+      cells of s, so only the moves of degree exactly d join more.
+    A fiber's first table absorbs, pass by pass, each table meeting the cells
+    of those absorbed or of tables a degree-d move links to them.  The
+    smallest one left out gives the canonical witness: lowest degree,
+    smallest margin key, then the two smallest tables in distinct components.
 
     Raises TooLargeError when degree_bound exceeds the one-byte cell range
-    or the tables would exceed DEFAULT_TABLE_BUDGET, before enumerating any.
+    or the tables would exceed DEFAULT_TABLE_BUDGET, and InvalidMoveError
+    when a move changes the margins, before enumerating any table.
     """
     if degree_bound < 1:
         raise TooLargeError("degree bound must be >= 1")
@@ -364,67 +376,55 @@ def verify_markov_basis(
         raise TooLargeError(
             f"degree {degree_bound} exceeds {MAX_PACKED_DEGREE}, the packed byte range"
         )
-    n = am.n_cols
+    n, space = am.n_cols, am.space
     total = sum(comb(n + d - 1, d) for d in range(1, degree_bound + 1))
     if total > DEFAULT_TABLE_BUDGET:
         raise TooLargeError(
             f"degree {degree_bound} needs {total} tables (> budget {DEFAULT_TABLE_BUDGET})"
         )
-    space = am.space
-    codes = _cell_codes(am, degree_bound.bit_length() + 1)
-    cells = 8 * n
+    # margin fields wide enough for every table and every move part that fits a byte
+    widest = max([degree_bound, *(m.degree for m in moves)])
+    codes = _cell_codes(am, min(widest, MAX_PACKED_DEGREE).bit_length() + 1)
+    code_of = dict(zip(space.states_by_index, codes))
+    cells, ones = 8 * n, int.from_bytes(b"\x01" * n, "big")  # ones: 0x01 in each cell byte
 
     def as_int(t: Table) -> int:
-        return sum(c * codes[state_index(s, space)] for s, c in t.items())
+        try:
+            return sum(c * code_of[s] for s, c in t.items())
+        except (KeyError, TypeError):
+            for s, _ in t.items():
+                state_index(s, space)  # raises for the state outside the space
+            raise
 
-    def unpack(t: int) -> Table:
-        return unpack_table((t & ((1 << cells) - 1)).to_bytes(n, "big"), space)
-
-    # (minus, plus) as integers, by move degree
-    by_degree: dict[int, list[tuple[int, int]]] = {}
-    for m in moves:
-        by_degree.setdefault(m.degree, []).append((as_int(m.minus), as_int(m.plus)))
-    # lower[k]: every table of degree k, the s values of the edges
-    lower: list[list[int]] = [[0]]
+    # grow[d][t]: t with the cells of every table a degree-d move links to it
+    grow: dict[int, dict[int, int]] = {}
+    for k, m in enumerate(moves):
+        a, b = as_int(m.minus), as_int(m.plus)
+        # a part of degree above 255 may carry out of its cell bytes: compare tuples
+        if (a >> cells != b >> cells if m.degree <= MAX_PACKED_DEGREE
+                else am.margins(m.minus) != am.margins(m.plus)):
+            raise InvalidMoveError(f"move {k} changes the margins")
+        links = grow.setdefault(m.degree, {})
+        links[a], links[b] = links.get(a, a) | b, links.get(b, b) | a
 
     fibers_checked = 0
     for degree in range(1, degree_bound + 1):
-        # union-find over tables; roots are absent, and the smaller root wins
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            root = x
-            while root in parent:
-                root = parent[root]
-            while x != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        for e, pairs in by_degree.items():
-            if e > degree:
-                continue
-            for a, b in pairs:
-                for s in lower[degree - e]:
-                    rx, ry = find(a + s), find(b + s)
-                    if rx != ry:
-                        if rx > ry:
-                            rx, ry = ry, rx
-                        parent[ry] = rx
+        links = grow.get(degree, {})
         tables = _degree_tables(codes, degree)
-        if degree < degree_bound:
-            lower.append(tables)
-
-        key = None
-        for t in sorted(tables):
-            if t >> cells != key:
-                key, first, root = t >> cells, t, find(t)
-                fibers_checked += 1
-            elif find(t) != root:
-                return BasisVerdict(
-                    passed=False,
-                    degree_bound=degree_bound,
-                    fibers_checked=fibers_checked,
-                    witness=(unpack(first), unpack(t)),
-                    witness_degree=degree,
-                )
+        tables.sort()
+        for _, fiber in itertools.groupby(tables, cells.__rrshift__):
+            fibers_checked += 1
+            first, *rest = fiber
+            union = links.get(first, first)
+            while rest:
+                mask = _occupied(union, ones)
+                joined = [t for t in rest if t & mask]
+                if len(joined) == len(rest):
+                    break
+                if not joined:
+                    witness = tuple(unpack_table((t & ((1 << cells) - 1)).to_bytes(n, "big"), space)
+                                    for t in (first, rest[0]))
+                    return BasisVerdict(False, degree_bound, fibers_checked, witness, degree)
+                union = reduce(or_, map(links.get, joined, joined), union)
+                rest = [t for t in rest if not t & mask]
     return BasisVerdict(passed=True, degree_bound=degree_bound, fibers_checked=fibers_checked)

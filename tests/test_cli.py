@@ -480,7 +480,12 @@ def test_bad_table_file_is_an_error_envelope(tmp_path, capsys, content, needle):
      "coordinate must be an integer"),
     ('[{"plus": [[[1, 1, 1, 1], 1]], "minus": [[[2.0, 1, 1, 1], 1]]}]',
      "coordinate must be an integer"),
-], ids=["no-moves-key", "list-of-lists", "float-count", "bool-coordinate", "float-coordinate"])
+    ('[{"plus": [[[1, 1, 1, 1], 1]], "minus": [[[3, 1, 1, 1], 1]]}]',
+     "coordinate 1 of state (3, 1, 1, 1) outside 1..2"),
+    ('[{"plus": [[[1, 1, 1, 1], 1]], "minus": [[[2, 1, 1, 1], 1]]}]',
+     "move 0 changes the margins"),
+], ids=["no-moves-key", "list-of-lists", "float-count", "bool-coordinate", "float-coordinate",
+        "state-out-of-range", "margin-changing"])
 def test_bad_moves_file_is_an_error_envelope(tmp_path, capsys, content, needle):
     path = tmp_path / "moves.json"
     path.write_text(content)

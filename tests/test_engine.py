@@ -15,6 +15,7 @@ from fiberwalk.engine import (
 )
 from fiberwalk.errors import (
     FiberTooLargeError,
+    InvalidMoveError,
     InvalidStateError,
     MoveNotApplicableError,
     TooLargeError,
@@ -208,6 +209,79 @@ def test_verify_markov_basis_quadrics_fail_with_quartic_witness(c4):
     assert any({m.plus, m.minus} == {u, v} for m in cycle_quartic_moves(4))
 
 
+C4_QUADRIC_WITNESS = (
+    Table([((1, 2, 1, 2), 1), ((1, 2, 2, 1), 1), ((2, 1, 1, 1), 1), ((2, 1, 2, 2), 1)]),
+    Table([((1, 2, 1, 1), 1), ((1, 2, 2, 2), 1), ((2, 1, 1, 2), 1), ((2, 1, 2, 1), 1)]),
+)
+
+
+@pytest.mark.parametrize("model, bound, expected", [
+    ("c4-basis", 6, (True, 39873, None, None)),
+    ("path3-global-markov", 6, (True, 13375, None, None)),
+    ("c4-quadrics", 6, (False, 1666, 4, C4_QUADRIC_WITNESS)),
+])
+def test_verify_markov_basis_pins_higher_degrees(c4, model, bound, expected):
+    graph, moves = {
+        "c4-basis": (c4, cycle_markov_basis(4)),
+        "path3-global-markov": (PATH3, global_markov_moves(PATH3)),
+        "c4-quadrics": (c4, cycle_quadratic_moves(4)),
+    }[model]
+    verdict = verify_markov_basis(moves, margin_map(graph), bound)
+    assert (verdict.passed, verdict.fibers_checked, verdict.witness_degree,
+            verdict.witness) == expected
+
+
+def test_verify_markov_basis_refuses_moves_that_change_margins(c4):
+    # linked through a table outside their fiber, the quartic witness would
+    # count as connected, and the check would run on to a later fiber
+    am = margin_map(c4)
+    quadrics = cycle_quadratic_moves(4)
+    u, v = C4_QUADRIC_WITNESS
+    x = Table({(1, 1, 1, 1): 4})
+    moves = quadrics + [Move(x, u), Move(v, x)]
+    with pytest.raises(InvalidMoveError, match=f"move {len(quadrics)} changes the margins"):
+        verify_markov_basis(moves, am, 4)
+    # the check refuses before it enumerates a table, whatever the degree bound
+    with pytest.raises(InvalidMoveError, match="changes the margins"):
+        verify_markov_basis(moves, am, 1)
+    # parts above the byte range are compared by margin tuple: scaled by 256,
+    # a count in the first cell, 1111, would carry into the margin key
+    m = next(m for m in quadrics if (1, 1, 1, 1) in m.plus.support + m.minus.support)
+    scaled = Move(m.plus.scale(256), m.minus.scale(256))
+    assert verify_markov_basis(quadrics + [scaled], am, 3).passed
+
+
+def test_verify_markov_basis_follows_chains_of_top_degree_moves():
+    # three independent binary variables: the degree-2 fiber with every
+    # margin (1, 1) holds four tables that share no cell; without three of
+    # its six moves, its first table d reaches c by a move, b only through
+    # c, and a only through b
+    graph = LabeledGraph.build(3, [], [2, 2, 2])
+
+    def pair(x, y):
+        return Table([(x, 1), (y, 1)])
+
+    a, b = pair((1, 1, 1), (2, 2, 2)), pair((1, 1, 2), (2, 2, 1))
+    c, d = pair((1, 2, 1), (2, 1, 2)), pair((1, 2, 2), (2, 1, 1))
+    moves = [m for m in global_markov_moves(graph)
+             if {m.plus, m.minus} not in ({a, c}, {a, d}, {b, d})]
+    assert len(moves) == 9
+    verdict = verify_markov_basis(moves, margin_map(graph), 3)
+    assert verdict.passed and verdict.fibers_checked == 99
+    assert reference_verdict(moves, graph, 3) == (True, 99, None, None)
+
+
+def test_occupied_cells_for_every_count():
+    from fiberwalk.engine import _occupied
+
+    ones = int.from_bytes(b"\x01" * 3, "big")
+    key = 0b1011 << 24  # margin key bits above the cells stay out of the mask
+    for c in range(256):
+        for cells in ((c, 0, 0), (0, c, 255), (255, c, 1), (c, c, c)):
+            x = key + int.from_bytes(bytes(cells), "big")
+            assert _occupied(x, ones) == int.from_bytes(bytes(255 if b else 0 for b in cells), "big")
+
+
 def test_a_bad_start_is_reported_before_bad_moves(c4):
     space = c4.levels
     good = Table({(1, 1, 1, 1): 1})
@@ -358,6 +432,11 @@ def basis_cases(draw):
 def test_verify_markov_basis_matches_brute_force(case):
     graph, moves, degree = case
     am = margin_map(graph)
+    changing = [k for k, m in enumerate(moves) if margins(am, m.plus) != margins(am, m.minus)]
+    if changing:
+        with pytest.raises(InvalidMoveError, match=f"move {changing[0]} changes the margins"):
+            verify_markov_basis(moves, am, degree)
+        moves = [m for k, m in enumerate(moves) if k not in changing]
     verdict = verify_markov_basis(moves, am, degree)
     got = (verdict.passed, verdict.fibers_checked, verdict.witness_degree, verdict.witness)
     assert got == reference_verdict(moves, graph, degree)
