@@ -65,8 +65,11 @@ class _Text:
 
 
 def _load_model(args) -> Preset:
-    if getattr(args, "preset", None):
-        return resolve(args.preset, k2n_levels=tuple(getattr(args, "k2n_levels", ()) or ()))
+    name, k2n_levels = getattr(args, "preset", None), getattr(args, "k2n_levels", None)
+    if k2n_levels is not None and name != "k2n":
+        raise FiberwalkError("--k2n-levels needs --preset k2n")
+    if name:
+        return resolve(name, k2n_levels=tuple(k2n_levels or ()))
     if getattr(args, "graph", None):
         g = jsonio.graph_from_json(jsonio.load(args.graph))
         return Preset(name=args.graph, graph=g, space=g.levels)
@@ -78,6 +81,15 @@ def _load_graph(args) -> Preset:
     if preset.graph is None:
         raise FiberwalkError(f"{args.command} needs a graph; preset {preset.name} has none")
     return preset
+
+
+def _load_table(path: str, preset: Preset):
+    table, space = jsonio.table_from_json(jsonio.load(path))
+    if space != preset.space:
+        raise FiberwalkError(
+            f"table levels {list(space.levels)} are not the model's {list(preset.space.levels)}"
+        )
+    return table
 
 
 def _load_moves(args, preset: Preset):
@@ -98,7 +110,7 @@ def _load_moves(args, preset: Preset):
 def cmd_component(args):
     preset = _load_model(args)
     if args.start:
-        start, _ = jsonio.table_from_json(jsonio.load(args.start))
+        start = _load_table(args.start, preset)
     elif preset.pinned_table is not None:
         start = preset.pinned_table
     else:
@@ -113,8 +125,8 @@ def cmd_component(args):
 
 def cmd_connected(args):
     preset = _load_model(args)
-    u, _ = jsonio.table_from_json(jsonio.load(args.u))
-    v, _ = jsonio.table_from_json(jsonio.load(args.v))
+    u = _load_table(args.u, preset)
+    v = _load_table(args.v, preset)
     moves = _load_moves(args, preset)
     res = are_connected(u, v, moves, preset.space, node_cap=args.cap)
     result = {"status": res.status}

@@ -1,11 +1,11 @@
 """Closed-form move and prime families for binary cycles, complete bipartite
 graphs K_{2,m} with a binary first group, and cones over binary cycles.
 
-The cycle moves, the K(2,m) quartics and the prime witnesses are
-generated directly from their defining patterns (block swaps on cyclic
-arcs, sign patterns on cyclic blocks, slice patterns on tensor
-coordinates) and then canonically deduplicated.  The K(2,m) quadratic
-moves are the graph's global-Markov moves from fiberwalk.graphs.
+The quartics and the prime witnesses are generated directly from their
+defining patterns (sign patterns on cyclic blocks, slice patterns on
+tensor coordinates) and then canonically deduplicated.  The quadratic
+moves are the graph's global-Markov moves from fiberwalk.graphs: all of
+them for K(2,m), and for the cycle those that swap two opposite arcs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 from .cones import Functional
 from .errors import InvalidStateError, NoClosedFormError, TooLargeError, UnsupportedLevelsError
-from .graphs import LabeledGraph, MarginMap, cone_graph, global_markov_moves
+from .graphs import LabeledGraph, MarginMap, _block_states, cone_graph, global_markov_moves
 from .tables import Move, State, StateSpace, Table, dedup_moves
 
 
@@ -57,8 +57,8 @@ def cycle_graph(n: int, level: int = 2) -> LabeledGraph:
 
 # The largest binary cycle whose closed-form families are generated.  At
 # n = 8 the Markov basis has 22,272 moves and the primes number 1,793 (about
-# 3 s and 1.5 s on one 2-core x86_64 machine); at n = 9 they are 115,968
-# moves in about 16 s and 5,377 primes in about 6.5 s.
+# 2 s and 1.5 s by `elapsed_ms` on one 2-core x86_64 machine); at n = 9 they
+# are 115,968 moves in about 9.5 s and 5,377 primes in about 7.5 s.
 MAX_CYCLE_N = 8
 
 
@@ -73,44 +73,29 @@ def _flip(block: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(3 - c for c in block)
 
 
-def cycle_quadratic_moves(n: int) -> list[Move]:
-    """Swap moves between two opposite arcs of the binary n-cycle.
+def _label_changes(m: Move) -> int:
+    """With plus part {x, y} and minus part {p, q}, label each position
+    where x and y differ by whether p keeps x's value there; the number of
+    label changes, read cyclically in position order."""
+    (x, _), (y, _) = m.plus.items()
+    p = m.minus.support[0]
+    labels = [a == c for a, b, c in zip(x, y, p) if a != b]
+    return sum(s != t for s, t in zip(labels, labels[1:] + labels[:1]))
 
-    For every pair of non-adjacent positions, two cells agreeing at those
-    positions trade one of the two arcs between them.
+
+def cycle_quadratic_moves(n: int) -> list[Move]:
+    """Swap moves between two opposite arcs of the binary n-cycle: the
+    global-Markov moves whose labels (`_label_changes`) change exactly twice.
+
+    A move splits the differing positions D into unions of components of
+    G[D]: cycle neighbours in D share a label, a position off D lies between
+    any two runs, and two runs sit on the opposite arcs of two cuts.  From
+    n = 8 on, interleaved splits such as {1,5} | {3,7} change four times.
     """
-    # Not `global_markov_moves(cycle_graph(n))`: the two lists are equal up
-    # to n = 7, but at n = 8 these two-cut swaps are 20,480 of its 20,608
-    # moves; it also splits interleaved parts, such as {1,5} | {3,7} given
-    # {2,4,6,8}, which no pair of cut positions gives.
     if n < 4:
         return []
     check_cycle_size(n)
-    moves = []
-    pos = list(range(n))
-    for k, l in itertools.combinations(pos, 2):
-        arc1 = [(k + 1 + i) % n for i in range(l - k - 1)]
-        arc2 = [(l + 1 + i) % n for i in range(n - (l - k) - 1)]
-        if not arc1 or not arc2:
-            continue
-        arc1_vals = list(itertools.product((1, 2), repeat=len(arc1)))
-        arc2_vals = list(itertools.product((1, 2), repeat=len(arc2)))
-        for a, b in itertools.product((1, 2), repeat=2):
-            for va, va2 in itertools.combinations(arc1_vals, 2):
-                for vb, vb2 in itertools.combinations(arc2_vals, 2):
-                    def cell(x1, x2):
-                        coords = [0] * n
-                        coords[k], coords[l] = a, b
-                        for p, c in zip(arc1, x1):
-                            coords[p] = c
-                        for p, c in zip(arc2, x2):
-                            coords[p] = c
-                        return tuple(coords)
-
-                    plus = Table([(cell(va, vb), 1), (cell(va2, vb2), 1)])
-                    minus = Table([(cell(va2, vb), 1), (cell(va, vb2), 1)])
-                    moves.append(Move(plus, minus))
-    return dedup_moves(moves)
+    return [m for m in global_markov_moves(cycle_graph(n)) if _label_changes(m) == 2]
 
 
 def cycle_quartic_moves(n: int) -> list[Move]:
@@ -262,10 +247,6 @@ def k2n_graph(shape: K2NShape) -> LabeledGraph:
     return LabeledGraph.build(n, edges, (2, 2) + shape.free_levels)
 
 
-def _free_states(shape: K2NShape, vertices: list[int]):
-    return itertools.product(*(range(1, shape.level_of(v) + 1) for v in vertices))
-
-
 def k2n_quadratic_moves(shape: K2NShape) -> list[Move]:
     """The graph's global-Markov quadratic moves.  In K(2,m) an induced
     subgraph G[D] is disconnected exactly when D = {1, 2} (the diagonal
@@ -280,16 +261,17 @@ def k2n_quartic_moves(shape: K2NShape) -> list[Move]:
     """
     _check_k2n_work("basis", k2n_basis_work(shape))
     n = shape.n_total
+    space = shape.space
     free = list(range(3, n + 1))
     moves = []
     for a in free:
         others = [v for v in free if v != a]
         da = shape.level_of(a)
         for k1, k2 in itertools.combinations(range(1, da + 1), 2):
-            for l11 in _free_states(shape, others):
-                for l12 in _free_states(shape, others):
-                    for l21 in _free_states(shape, others):
-                        for l22 in _free_states(shape, others):
+            for l11 in _block_states(space, others):
+                for l12 in _block_states(space, others):
+                    for l21 in _block_states(space, others):
+                        for l22 in _block_states(space, others):
 
                             def cell(i, j, ka, other_vals):
                                 coords = [0] * n

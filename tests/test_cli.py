@@ -559,6 +559,34 @@ def test_component_and_connected_refuse_the_same_caps(fuzz_files, capsys, comman
     assert code == 1 and rep["error"] == "node_cap must be >= 1"
 
 
+@pytest.mark.parametrize("command, side", [
+    ("component", "u"), ("connected", "u"), ("connected", "v"),
+])
+def test_table_file_on_other_levels_is_refused(fuzz_files, tmp_path, capsys, command, side):
+    # every cell lies inside 1..2, so only the levels tell it from a c4 table
+    path = str(tmp_path / "levels3.json")
+    dump({"d": [3, 3, 3, 3], "cells": [[[1, 1, 1, 1], 1], [[1, 2, 1, 2], 1]]}, path)
+    files = {**fuzz_files, side: path}
+    code, rep = run(capsys, command, "--preset", "c4", *c4_table_args(command, files),
+                    "--global-markov")
+    assert code == 1
+    assert rep["error"] == "table levels [3, 3, 3, 3] are not the model's [2, 2, 2, 2]"
+
+
+@pytest.mark.parametrize("model", [
+    ["--preset", "c4", "--k2n-levels", "2", "2"],
+    ["--preset", "k23", "--k2n-levels", "2", "2", "2"],
+    ["--preset", "c4", "--k2n-levels"],
+    ["--graph", "{c4}", "--k2n-levels", "2", "2"],
+])
+def test_k2n_levels_without_the_k2n_preset_is_an_error(fuzz_files, capsys, model):
+    model = [a.format(**fuzz_files) for a in model]
+    code, rep = run(capsys, "component", *model, "--start", fuzz_files["u"], "--global-markov")
+    assert code == 1 and rep["error"] == "--k2n-levels needs --preset k2n"
+    code, rep = run(capsys, "facets", *model)
+    assert code == 1 and rep["error"] == "--k2n-levels needs --preset k2n"
+
+
 @pytest.mark.parametrize("argv", [
     ["family", "cycle-basis", "9"],
     ["family", "primes", "--graph", "cycle", "--n", "9", "--count-only"],
@@ -608,8 +636,9 @@ def fuzz_files(tmp_path_factory):
     for name, t in files.items():
         paths[name] = str(d / f"{name}.json")
         dump(jsonio.table_to_json(t, c4.levels), paths[name])
-    paths["c3"] = str(d / "c3.json")
-    dump(jsonio.graph_to_json(c3), paths["c3"])
+    for name, g in (("c3", c3), ("c4", c4)):
+        paths[name] = str(d / f"{name}.json")
+        dump(jsonio.graph_to_json(g), paths[name])
     return paths
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -36,9 +37,49 @@ def keys(moves):
     return {m.key() for m in moves}
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
-def test_cycle_quadrics_match_global_markov_moves(n):
-    assert keys(cycle_quadratic_moves(n)) == keys(global_markov_moves(cycle_graph(n)))
+# count and sha256 of repr([m.key() for m in cycle_quadratic_moves(n)]), as
+# built by the former two-cut swap generator
+CYCLE_QUADRIC_PINS = {
+    4: (8, "d33f73371e41f5fb68c870886142a486323e8a368daef6d04317eac7e636e750"),
+    5: (80, "0555fa493d972e7c9eeefce21fb9f715e3eac8b217edf54d8a599c997e05c451"),
+    6: (576, "73c298b213c65cadaf8ace83e48861186793053af813bd273b027143e977ad45"),
+    7: (3584, "445278f4fabb247c3f37b2d2c6bec803c3e5be7fdf3f3296ec05303450b0b26a"),
+    8: (20480, "8275cb581a718deb634c70ed0a829f86a6d5c4f9c8e68705d4b75d0031916df1"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(CYCLE_QUADRIC_PINS))
+def test_cycle_quadrics_pinned(n):
+    moves = cycle_quadratic_moves(n)
+    digest = hashlib.sha256(repr([m.key() for m in moves]).encode()).hexdigest()
+    assert (len(moves), digest) == CYCLE_QUADRIC_PINS[n]
+
+
+def swap_runs(m: Move) -> int:
+    """Runs of the swapped side around the cycle: each position is 'a' where
+    the minus part's first cell keeps the plus part's first cell's value and
+    the two plus cells differ, 'b' where it takes the second's, and '.'
+    where the plus cells agree; the dots dropped, the word is read as a ring."""
+    (x, _), (y, _) = m.plus.items()
+    p = m.minus.support[0]
+    word = "".join("." if a == b else "a" if c == a else "b" for a, b, c in zip(x, y, p))
+    ring = word.replace(".", "")
+    # rotate so that the ring starts at a change, then count the groups
+    start = next(i for i in range(len(ring)) if ring[i] != ring[i - 1])
+    return sum(1 for _ in itertools.groupby(ring[start:] + ring[:start]))
+
+
+@pytest.mark.parametrize("n", range(4, MAX_CYCLE_N + 1))
+def test_cycle_quadrics_leave_out_only_interleaved_splits(n):
+    every = global_markov_moves(cycle_graph(n))
+    kept = keys(cycle_quadratic_moves(n))
+    assert kept <= keys(every)
+    left_out = [m for m in every if m.key() not in kept]
+    assert {swap_runs(m) for m in every if m.key() in kept} == {2}
+    # from n = 8 on, splits such as {1,5} | {3,7} given {2,4,6,8} alternate
+    # four times around the cycle; no two cut positions give them
+    assert len(left_out) == (128 if n == 8 else 0)
+    assert all(swap_runs(m) == 4 for m in left_out)
 
 
 def test_cycle_quartic_counts():
