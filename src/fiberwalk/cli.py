@@ -244,10 +244,14 @@ def cmd_family(args):
         return {"n_moves": len(moves), "moves": jsonio.moves_to_json(moves)}, 0
     if args.what == "primes":
         if args.graph == "cycle":
+            if args.levels is not None:
+                raise FiberwalkError("--levels needs --graph k2n")
             if args.n is None:
                 raise FiberwalkError("family primes --graph cycle needs --n")
             check_cycle_size(args.n)  # before the graph, which is O(n) to build
             graph = cycle_graph(args.n)
+        elif args.n is not None:
+            raise FiberwalkError("--n needs --graph cycle")
         else:
             graph = resolve("k2n", k2n_levels=tuple(args.levels or ())).graph
         ws = closed_form_primes(graph)
@@ -257,7 +261,7 @@ def cmd_family(args):
                 {
                     "id": w.id,
                     "origin": w.origin,
-                    "n_variables": len(w.variables),
+                    "n_variables": graph.levels.total_cells - len(w.table) if w.table else 0,
                     "witness": jsonio.table_to_json(w.table, graph.levels) if w.table else None,
                 }
                 for w in ws

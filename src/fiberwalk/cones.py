@@ -325,15 +325,20 @@ def check_margin_property(
     return PropertyVerdict(holds=True)
 
 
-def move_avoids_variables(f: Move, variables: frozenset) -> bool:
-    touched = set(f.plus.support) | set(f.minus.support)
-    return not (touched & variables)
+def move_avoids_variables(f: Move, witness) -> bool:
+    """True when f uses none of the prime's variables: every cell of f lies
+    in the support of the witness monomial (the toric marker has no
+    variables)."""
+    if witness.table is None:
+        return True
+    support = set(witness.table.support)
+    return all(s in support for s in f.plus.support + f.minus.support)
 
 
 def find_disconnecting_move(moves: Sequence[Move], witness) -> Move:
     """First canonical move whose two terms avoid the prime's variables."""
     for m in moves:
-        if move_avoids_variables(m, witness.variables):
+        if move_avoids_variables(m, witness):
             return m
     raise InvalidWitnessMoveError(f"no supplied move avoids the variables of {witness.id}")
 
@@ -344,7 +349,7 @@ def build_disconnection_witness(witness, f: Move, c: int, am: MarginMap) -> tupl
         raise InvalidStateError("multiplier c must be nonnegative")
     if witness.table is None:
         raise InvalidWitnessMoveError(f"{witness.id} is a toric marker")
-    if not move_avoids_variables(f, witness.variables):
+    if not move_avoids_variables(f, witness):
         raise InvalidWitnessMoveError("move touches the prime's generating variables")
     pad = witness.table.scale(c)
     u, v = f.plus + pad, f.minus + pad

@@ -3,7 +3,7 @@ graphs K_{2,m} with a binary first group, and cones over binary cycles.
 
 The quartics and the prime witnesses are generated directly from their
 defining patterns (sign patterns on cyclic blocks, slice patterns on
-tensor coordinates) and then canonically deduplicated.  The quadratic
+tensor coordinates), each move and each prime built once.  The quadratic
 moves are the graph's global-Markov moves from fiberwalk.graphs: all of
 them for K(2,m), and for the cycle those that swap two opposite arcs.
 """
@@ -18,20 +18,20 @@ from typing import Iterable, Optional
 from .cones import Functional
 from .errors import InvalidStateError, NoClosedFormError, TooLargeError, UnsupportedLevelsError
 from .graphs import LabeledGraph, MarginMap, _block_states, cone_graph, global_markov_moves
-from .tables import Move, State, StateSpace, Table, dedup_moves
+from .tables import Move, State, StateSpace, Table
 
 
 @dataclass(frozen=True)
 class PrimeWitness:
-    """A minimal-prime descriptor: its generating cells and witness table.
+    """A minimal-prime descriptor: its witness table.
 
     The witness table is the exponent vector of the product of all cells
-    *not* generating the prime.  The toric component is a marker with no
+    *not* generating the prime, so the prime's variables are the cells
+    outside the table's support.  The toric component is a marker with no
     variables and no witness table.
     """
 
     id: str
-    variables: frozenset[State]
     table: Optional[Table]
     origin: str  # "cycle" | "k2n" | "pyramid" | "toric"
 
@@ -41,7 +41,7 @@ class PrimeWitness:
 
 
 def toric_marker() -> PrimeWitness:
-    return PrimeWitness(id="toric", variables=frozenset(), table=None, origin="toric")
+    return PrimeWitness(id="toric", table=None, origin="toric")
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +57,9 @@ def cycle_graph(n: int, level: int = 2) -> LabeledGraph:
 
 # The largest binary cycle whose closed-form families are generated.  At
 # n = 8 the Markov basis has 22,272 moves and the primes number 1,793 (about
-# 2 s and 1.5 s by `elapsed_ms` on one 2-core x86_64 machine); at n = 9 they
-# are 115,968 moves in about 9.5 s and 5,377 primes in about 7.5 s.
+# 0.8 s and 0.15 s by `elapsed_ms`, pure kernel, on one 2-core x86_64
+# machine); at n = 9 they are 115,968 moves in about 5.3 s and 5,377 primes
+# in about 0.5 s.
 MAX_CYCLE_N = 8
 
 
@@ -69,8 +70,16 @@ def check_cycle_size(n: int) -> None:
         )
 
 
-def _flip(block: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(3 - c for c in block)
+def _patterns(length: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The binary value patterns of a block that start at 1, each with its flip."""
+    return [
+        ((1,) + rest, (2,) + tuple(3 - c for c in rest))
+        for rest in itertools.product((1, 2), repeat=length - 1)
+    ]
+
+
+def _part(*cells: State) -> Table:
+    return Table._trusted(tuple((x, 1) for x in sorted(cells)))
 
 
 def _label_changes(m: Move) -> int:
@@ -101,75 +110,52 @@ def cycle_quadratic_moves(n: int) -> list[Move]:
 def cycle_quartic_moves(n: int) -> list[Move]:
     """Sign-pattern quartics: three cyclic blocks, rows flip two blocks at
     a time on one side and the complementary patterns on the other.
+
+    Flipping two of the blocks keeps a quartic and flipping one reverses
+    it, so each block's first value is fixed at 1: the C(n,3)·2^(n-3)
+    quartics are each built once.
     """
     if n < 3:
         raise InvalidStateError("quartics need at least 3 positions")
     check_cycle_size(n)
     moves = []
-    for cuts in itertools.combinations(range(n), 3):
-        c1, c2, c3 = cuts
-        blocks = [
-            [p % n for p in range(c1 + 1, c2 + 1)],
-            [p % n for p in range(c2 + 1, c3 + 1)],
-            [p % n for p in range(c3 + 1, c1 + 1 + n)],
-        ]
+    for c1, c2, c3 in itertools.combinations(range(n), 3):
+        # the blocks are c1+1..c2, c2+1..c3 and c3+1..c1 (mod n), so a cell
+        # is the third block's tail, the first two blocks, then its head
+        def cell(a, b, c, head=n - 1 - c3):
+            return c[head:] + a + b + c[:head]
 
-        def cell(va, vb, vc):
-            coords = [0] * n
-            for p, c in zip(blocks[0], va):
-                coords[p] = c
-            for p, c in zip(blocks[1], vb):
-                coords[p] = c
-            for p, c in zip(blocks[2], vc):
-                coords[p] = c
-            return tuple(coords)
-
-        for va in itertools.product((1, 2), repeat=len(blocks[0])):
-            for vb in itertools.product((1, 2), repeat=len(blocks[1])):
-                for vc in itertools.product((1, 2), repeat=len(blocks[2])):
-                    fa, fb, fc = _flip(va), _flip(vb), _flip(vc)
-                    plus = Table(
-                        [(cell(va, vb, vc), 1), (cell(va, fb, fc), 1),
-                         (cell(fa, vb, fc), 1), (cell(fa, fb, vc), 1)]
-                    )
-                    minus = Table(
-                        [(cell(va, vb, fc), 1), (cell(va, fb, vc), 1),
-                         (cell(fa, vb, vc), 1), (cell(fa, fb, fc), 1)]
-                    )
-                    moves.append(Move(plus, minus))
-    return dedup_moves(moves)
+        for a, fa in _patterns(c2 - c1):
+            for b, fb in _patterns(c3 - c2):
+                for c, fc in _patterns(n - c3 + c1):
+                    plus = _part(cell(a, b, c), cell(a, fb, fc), cell(fa, b, fc), cell(fa, fb, c))
+                    minus = _part(cell(a, b, fc), cell(a, fb, c), cell(fa, b, c), cell(fa, fb, fc))
+                    moves.append(Move(plus, minus).canonical())
+    return sorted(moves, key=Move.key)
 
 
 def cycle_markov_basis(n: int) -> list[Move]:
     """Quadratic plus quartic moves connecting every fiber of the binary n-cycle."""
     if n < 4:
         raise UnsupportedLevelsError("cycle basis needs n >= 4")
-    return dedup_moves(cycle_quadratic_moves(n) + cycle_quartic_moves(n))
+    return sorted(cycle_quadratic_moves(n) + cycle_quartic_moves(n), key=Move.key)
 
 
 def cycle_prime_witnesses(n: int) -> list[PrimeWitness]:
-    """One witness per distinct quartic support, plus the toric marker.
+    """One witness per quartic, plus the toric marker.
 
     The prime generated by all cells dividing neither quartic term is
     witnessed by the quartic's own support (all eight cells, count one).
+    No two quartics share a support, so each prime is built once.
     """
     if n < 4:
         raise UnsupportedLevelsError("cycle witnesses need n >= 4")
-    space = StateSpace((2,) * n)
-    seen: dict[frozenset[State], PrimeWitness] = {}
+    out = []
     for f in cycle_quartic_moves(n):
-        support = frozenset(f.plus.support) | frozenset(f.minus.support)
-        variables = frozenset(x for x in space.states() if x not in support)
-        if variables in seen:
-            continue
-        label = ".".join("".join(map(str, s)) for s in sorted(support))
-        seen[variables] = PrimeWitness(
-            id=f"P_f[{label}]",
-            variables=variables,
-            table=f.plus + f.minus,
-            origin="cycle",
-        )
-    out = sorted(seen.values(), key=lambda w: w.id)
+        table = f.plus + f.minus
+        label = ".".join("".join(map(str, s)) for s in table.support)
+        out.append(PrimeWitness(id=f"P_f[{label}]", table=table, origin="cycle"))
+    out.sort(key=lambda w: w.id)
     out.append(toric_marker())
     return out
 
@@ -204,10 +190,11 @@ class K2NShape:
 
 
 # The largest closed-form K(2,m) family generated, counted in cells written
-# or visited (`k2n_basis_work`, `k2n_prime_work`).  By `elapsed_ms` on one
-# 2-core x86_64 machine, `family k2n-basis 2 2 2 2` (786,432) takes 1.2 s
-# and `family primes --graph k2n --levels 2 6` (184,704) 0.5 s; `--levels
-# 2 7` (889,280) took 2.0 s and `k2n-basis 2 2 2 3` (3,575,808) 6.0 s.
+# or visited (`k2n_basis_work`, `k2n_prime_work`).  By `elapsed_ms`, pure
+# kernel, on one 2-core x86_64 machine, `family k2n-basis 2 2 2 2` (786,432)
+# takes about 0.8 s and `family primes --graph k2n --levels 2 6` (184,704)
+# 0.25 s; `--levels 2 7` (889,280) took 1.3 s and `k2n-basis 2 2 2 3`
+# (3,575,808) 3.9 s.
 MAX_K2N_WORK = 800_000
 
 
@@ -257,62 +244,49 @@ def k2n_quadratic_moves(shape: K2NShape) -> list[Move]:
 
 def k2n_quartic_moves(shape: K2NShape) -> list[Move]:
     """Quartics trading a distinguished coordinate's two values between the
-    diagonal and antidiagonal first-group slices.
+    diagonal and antidiagonal first-group slices; each is built once.
     """
     _check_k2n_work("basis", k2n_basis_work(shape))
-    n = shape.n_total
-    space = shape.space
-    free = list(range(3, n + 1))
+    free = list(range(3, shape.n_total + 1))
     moves = []
     for a in free:
-        others = [v for v in free if v != a]
-        da = shape.level_of(a)
-        for k1, k2 in itertools.combinations(range(1, da + 1), 2):
-            for l11 in _block_states(space, others):
-                for l12 in _block_states(space, others):
-                    for l21 in _block_states(space, others):
-                        for l22 in _block_states(space, others):
+        rests = list(_block_states(shape.space, [v for v in free if v != a]))
 
-                            def cell(i, j, ka, other_vals):
-                                coords = [0] * n
-                                coords[0], coords[1] = i, j
-                                coords[a - 1] = ka
-                                for v, c in zip(others, other_vals):
-                                    coords[v - 1] = c
-                                return tuple(coords)
+        def cell(i, j, k, rest, cut=a - 3):
+            return (i, j) + rest[:cut] + (k,) + rest[cut:]
 
-                            plus = Table(
-                                [(cell(1, 1, k1, l11), 1), (cell(1, 2, k2, l12), 1),
-                                 (cell(2, 1, k2, l21), 1), (cell(2, 2, k1, l22), 1)]
-                            )
-                            minus = Table(
-                                [(cell(1, 1, k2, l11), 1), (cell(1, 2, k1, l12), 1),
-                                 (cell(2, 1, k1, l21), 1), (cell(2, 2, k2, l22), 1)]
-                            )
-                            moves.append(Move(plus, minus))
-    return dedup_moves(moves)
+        for k1, k2 in itertools.combinations(range(1, shape.level_of(a) + 1), 2):
+            for l11, l12, l21, l22 in itertools.product(rests, repeat=4):
+                plus = _part(cell(1, 1, k1, l11), cell(1, 2, k2, l12),
+                             cell(2, 1, k2, l21), cell(2, 2, k1, l22))
+                minus = _part(cell(1, 1, k2, l11), cell(1, 2, k1, l12),
+                              cell(2, 1, k1, l21), cell(2, 2, k2, l22))
+                moves.append(Move(plus, minus).canonical())
+    return sorted(moves, key=Move.key)
 
 
 def k2n_markov_basis(shape: K2NShape) -> list[Move]:
     quartics = k2n_quartic_moves(shape)  # first: it refuses a shape above the cap
-    return dedup_moves(k2n_quadratic_moves(shape) + quartics)
+    return sorted(k2n_quadratic_moves(shape) + quartics, key=Move.key)
 
 
 def k2n_prime_witnesses(shape: K2NShape) -> list[PrimeWitness]:
-    """Slice primes P(a,C,b,D), deduplicated by variable set, plus toric.
+    """Slice primes P(a,C,b,D), plus toric.
 
     Variables: cells with (x1,x2)=(1,1) and x_a in C; (1,2) and x_b in D;
     (2,1) and x_b not in D; (2,2) and x_a not in C.  For N=4 only a=b
-    occurs.  C and D run over nonempty proper subsets.
+    occurs.  C and D run over nonempty proper subsets.  The witness is the
+    product of the other cells; its (1,1) slice fixes (a, C) and its (1,2)
+    slice fixes (b, D), so each prime is built once.
     """
     _check_k2n_work("primes", k2n_prime_work(shape))
     n = shape.n_total
     free = list(range(3, n + 1))
-    space = shape.space
+    states = shape.space.states_by_index
     pair_iter = (
         [(a, a) for a in free] if n == 4 else itertools.product(free, repeat=2)
     )
-    seen: dict[frozenset[State], PrimeWitness] = {}
+    out = []
     for a, b in pair_iter:
         da, db = shape.level_of(a), shape.level_of(b)
         c_subsets = [
@@ -327,29 +301,21 @@ def k2n_prime_witnesses(shape: K2NShape) -> list[PrimeWitness]:
         ]
         for c_set in c_subsets:
             for d_set in d_subsets:
-                variables = set()
-                for x in space.states():
-                    i, j = x[0], x[1]
-                    xa, xb = x[a - 1], x[b - 1]
-                    if (
-                        (i == 1 and j == 1 and xa in c_set)
-                        or (i == 1 and j == 2 and xb in d_set)
-                        or (i == 2 and j == 1 and xb not in d_set)
-                        or (i == 2 and j == 2 and xa not in c_set)
-                    ):
-                        variables.add(x)
-                variables = frozenset(variables)
-                if variables in seen:
-                    continue
-                witness = Table([(x, 1) for x in space.states() if x not in variables])
-                fmt = lambda s: "".join(map(str, sorted(s)))
-                seen[variables] = PrimeWitness(
-                    id=f"P[a={a},C={{{fmt(c_set)}}},b={b},D={{{fmt(d_set)}}}]",
-                    variables=variables,
-                    table=witness,
-                    origin="k2n",
+                # the cells off the variables: on the (1,1) and (2,2) slices
+                # those with x_a in C just at (2,2), on (1,2) and (2,1) those
+                # with x_b in D just at (2,1)
+                cells = tuple(
+                    (x, 1)
+                    for x in states
+                    if (x[a - 1] in c_set if x[0] == x[1] else x[b - 1] in d_set) == (x[0] == 2)
                 )
-    out = sorted(seen.values(), key=lambda w: w.id)
+                fmt = lambda s: "".join(map(str, sorted(s)))
+                out.append(PrimeWitness(
+                    id=f"P[a={a},C={{{fmt(c_set)}}},b={b},D={{{fmt(d_set)}}}]",
+                    table=Table._trusted(cells),
+                    origin="k2n",
+                ))
+    out.sort(key=lambda w: w.id)
     out.append(toric_marker())
     return out
 
@@ -430,19 +396,16 @@ def pyramid_prime_witnesses(
     for combo in itertools.product(choices, repeat=d0):
         if all(w.is_toric for w in combo):
             continue
-        variables = set()
         cells = []
         for level, w in enumerate(combo, start=1):
             if w.is_toric:
                 cells.extend((x + (level,), 1) for x in base_space.states())
             else:
                 cells.extend((s + (level,), c) for s, c in w.table.items())
-                variables.update(x + (level,) for x in w.variables)
         label = ",".join(w.id for w in combo)
         out.append(
             PrimeWitness(
                 id=f"pyr[{label}]",
-                variables=frozenset(variables),
                 table=Table(cells),
                 origin="pyramid",
             )

@@ -587,6 +587,31 @@ def test_k2n_levels_without_the_k2n_preset_is_an_error(fuzz_files, capsys, model
     assert code == 1 and rep["error"] == "--k2n-levels needs --preset k2n"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--graph", "cycle", "--n", "4", "--levels", "2", "9"], "--levels needs --graph k2n"),
+    (["--graph", "cycle", "--n", "4", "--levels"], "--levels needs --graph k2n"),
+    (["--graph", "k2n", "--levels", "2", "2", "--n", "7"], "--n needs --graph cycle"),
+])
+def test_family_primes_refuses_the_other_familys_option(capsys, argv, error):
+    code, rep = run(capsys, "family", "primes", *argv, "--count-only")
+    assert code == 1 and rep["error"] == error
+
+
+@pytest.mark.parametrize("argv, cells, n_variables", [
+    (["--graph", "cycle", "--n", "4"], 16, 8),
+    (["--graph", "k2n", "--levels", "2", "3"], 24, 12),
+    (["--graph", "k2n", "--levels", "2", "4"], 32, 16),
+])
+def test_family_primes_counts_the_variables_outside_each_witness(capsys, argv, cells,
+                                                                 n_variables):
+    code, rep = run(capsys, "family", "primes", *argv)
+    assert code == 0
+    *primes, toric = rep["result"]["primes"]
+    assert toric == {"id": "toric", "origin": "toric", "n_variables": 0, "witness": None}
+    assert {p["n_variables"] for p in primes} == {n_variables}
+    assert all(len(p["witness"]["cells"]) == cells - n_variables for p in primes)
+
+
 @pytest.mark.parametrize("argv", [
     ["family", "cycle-basis", "9"],
     ["family", "primes", "--graph", "cycle", "--n", "9", "--count-only"],

@@ -438,8 +438,9 @@ def test_build_disconnection_witness_rejects_touching_move(k23, k23_shape):
     w = next(
         x for x in k2n_prime_witnesses(k23_shape) if x.id == "P[a=3,C={1},b=4,D={1}]"
     )
-    var = sorted(w.variables)[0]
-    other = sorted(w.table.support)[0]
+    support = set(w.table.support)
+    var = next(x for x in k23.levels.states() if x not in support)
+    other = sorted(support)[0]
     bad = Move(Table({var: 1}), Table({other: 1}))
     with pytest.raises(InvalidWitnessMoveError):
         build_disconnection_witness(w, bad, 1, margin_map(k23))

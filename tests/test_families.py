@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import random
+import re
+from math import comb, prod
 
 import pytest
 
@@ -37,6 +39,10 @@ def keys(moves):
     return {m.key() for m in moves}
 
 
+def digest(moves):
+    return hashlib.sha256(repr([m.key() for m in moves]).encode()).hexdigest()
+
+
 # count and sha256 of repr([m.key() for m in cycle_quadratic_moves(n)]), as
 # built by the former two-cut swap generator
 CYCLE_QUADRIC_PINS = {
@@ -51,8 +57,57 @@ CYCLE_QUADRIC_PINS = {
 @pytest.mark.parametrize("n", sorted(CYCLE_QUADRIC_PINS))
 def test_cycle_quadrics_pinned(n):
     moves = cycle_quadratic_moves(n)
-    digest = hashlib.sha256(repr([m.key() for m in moves]).encode()).hexdigest()
-    assert (len(moves), digest) == CYCLE_QUADRIC_PINS[n]
+    assert (len(moves), digest(moves)) == CYCLE_QUADRIC_PINS[n]
+
+
+# count and sha256 of repr([m.key() for m in ...]), as built with a dedup pass
+# over every sign pattern (cycles) and every slice choice (K(2,m))
+CYCLE_QUARTIC_PINS = {
+    3: (1, "15c8f963af24a456dda72a77ca06c51fcbc2eba50fe295fa3f6b73cae144179f"),
+    4: (8, "94eb5aefbb63c3879b1f2e4252fb298b7a9fcb38581325c4b1f5609b76f97189"),
+    5: (40, "c26785598254c763dd5f5778437507571b57834e16264ca950e235e304b26209"),
+    6: (160, "9e326ed377c3015f3ebf45f31d1f0ee321a888bbdbef07690b2468e8ea5eb772"),
+    7: (560, "225b247f8e099b795b2950512a5745c737e46d0a551fbd1c9d16999fd719777b"),
+    8: (1792, "11a75d8480f264d9420291a9c4b5ac3be36ffb54c63e63cfd9c5dcd43e0d712a"),
+}
+K2N_QUARTIC_PINS = {
+    (2, 2): (32, "bd24c856f059b9b09799b872956082be7e7f1ccef6da9af8256095426988a1b1"),
+    (2, 3): (129, "8d9a1b6b1834a6a621cc29545dfefc8043888da502108c3e449c0abcd9203a72"),
+    (2, 2, 2): (768, "3b956a01913b294d63b9d9ecb3c72a5b6401998d3aa57b15cd0472de22b18e59"),
+    (3, 3): (486, "dfd52cec36fe97f9506cb313dd3c73f6c833769d9e58239b71d526f16dba551a"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(CYCLE_QUARTIC_PINS))
+def test_cycle_quartics_pinned_and_built_once(n):
+    moves = cycle_quartic_moves(n)
+    assert (len(moves), digest(moves)) == CYCLE_QUARTIC_PINS[n]
+    # three cut positions, and one sign pattern per block up to flips
+    assert len(moves) == comb(n, 3) * 2 ** (n - 3)
+
+
+@pytest.mark.parametrize("free", sorted(K2N_QUARTIC_PINS))
+def test_k2n_quartics_pinned_and_built_once(free):
+    moves = k2n_quartic_moves(K2NShape(free))
+    assert (len(moves), digest(moves)) == K2N_QUARTIC_PINS[free]
+    # a distinguished vertex, two of its values, and the other vertices'
+    # values in each of the four first-group slices
+    assert len(moves) == sum(
+        comb(d, 2) * prod(free[:a] + free[a + 1:]) ** 4 for a, d in enumerate(free)
+    )
+
+
+@pytest.mark.parametrize("n", range(4, MAX_CYCLE_N + 1))
+def test_cycle_prime_witnesses_are_distinct(n):
+    ws = [w for w in cycle_prime_witnesses(n) if not w.is_toric]
+    assert len(ws) == comb(n, 3) * 2 ** (n - 3)
+    assert len({w.table for w in ws}) == len(ws)
+
+
+@pytest.mark.parametrize("free", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 2, 2), (2, 6)])
+def test_k2n_prime_witnesses_are_distinct(free):
+    ws = [w for w in k2n_prime_witnesses(K2NShape(free)) if not w.is_toric]
+    assert len({w.table for w in ws}) == len({w.id for w in ws}) == len(ws)
 
 
 def swap_runs(m: Move) -> int:
@@ -105,7 +160,7 @@ def test_cycle_basis_guards():
     assert cycle_quadratic_moves(3) == []
 
 
-def test_cycle_witness_counts_and_shape():
+def test_cycle_witness_counts_and_shape(c4):
     w4 = cycle_prime_witnesses(4)
     w5 = cycle_prime_witnesses(5)
     assert len(w4) == 9 and len(w5) == 41
@@ -115,8 +170,10 @@ def test_cycle_witness_counts_and_shape():
             continue
         assert w.table.degree == 8
         assert all(c == 1 for _, c in w.table.items())
-        assert len(w.variables) == 16 - 8
-        assert set(w.table.support).isdisjoint(w.variables)
+        # the prime's variables are the cells off the witness support
+        variables = set(c4.levels.states()) - set(w.table.support)
+        assert len(variables) == 16 - 8
+        assert set(w.table.support).isdisjoint(variables)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -141,9 +198,10 @@ def test_quadrics_touch_cycle_primes_symmetrically(n):
     for w in cycle_prime_witnesses(n):
         if w.is_toric:
             continue
+        support = set(w.table.support)
         for m in quads:
-            plus_touch = bool(set(m.plus.support) & w.variables)
-            minus_touch = bool(set(m.minus.support) & w.variables)
+            plus_touch = not set(m.plus.support) <= support
+            minus_touch = not set(m.minus.support) <= support
             assert plus_touch == minus_touch
 
 
@@ -153,9 +211,9 @@ def test_every_cycle_prime_avoided_by_some_quartic(n):
     for w in cycle_prime_witnesses(n):
         if w.is_toric:
             continue
+        support = set(w.table.support)
         assert any(
-            set(m.plus.support).isdisjoint(w.variables)
-            and set(m.minus.support).isdisjoint(w.variables)
+            set(m.plus.support) <= support and set(m.minus.support) <= support
             for m in quartics
         )
 
@@ -209,8 +267,20 @@ def test_k2n_witness_structure(k23_shape):
     for w in k2n_prime_witnesses(k23_shape):
         if w.is_toric:
             continue
-        assert len(w.variables) == 16
-        assert set(w.table.support) == set(space.states()) - w.variables
+        pattern = r"P\[a=(\d),C=\{(\d+)\},b=(\d),D=\{(\d+)\}\]"
+        a, c_set, b, d_set = re.fullmatch(pattern, w.id).groups()
+        a, b = int(a), int(b)
+        c_set, d_set = {int(k) for k in c_set}, {int(k) for k in d_set}
+        # the slice prime's variables, as the paper defines them
+        variables = {
+            x for x in space.states()
+            if x[:2] == (1, 1) and x[a - 1] in c_set
+            or x[:2] == (1, 2) and x[b - 1] in d_set
+            or x[:2] == (2, 1) and x[b - 1] not in d_set
+            or x[:2] == (2, 2) and x[a - 1] not in c_set
+        }
+        assert len(variables) == 16
+        assert set(w.table.support) == set(space.states()) - variables
 
 
 def test_k2n_quads_touch_primes_symmetrically(k23_shape):
@@ -218,10 +288,9 @@ def test_k2n_quads_touch_primes_symmetrically(k23_shape):
     for w in k2n_prime_witnesses(k23_shape):
         if w.is_toric:
             continue
+        support = set(w.table.support)
         for m in quads:
-            assert bool(set(m.plus.support) & w.variables) == bool(
-                set(m.minus.support) & w.variables
-            )
+            assert (set(m.plus.support) <= support) == (set(m.minus.support) <= support)
 
 
 def test_facet_inequality_counts(k22, k22_shape, k23, k23_shape):
@@ -242,8 +311,6 @@ def test_facet_inequalities_valid_on_unit_tables(free):
 def test_matching_functional_vanishes_on_slice_primes(k23_shape):
     # P(a,C,b,D) with a != b sits exactly on the functional with the same
     # (a, C, b) and the complementary D
-    import re
-
     am = margin_map(k2n_graph(k23_shape))
     fams = k2n_facet_inequalities(k23_shape, am)
     for w in k2n_prime_witnesses(k23_shape):
@@ -340,7 +407,7 @@ def test_cycle_families_refuse_cycles_above_the_cap():
 
 
 def test_k2n_families_refuse_shapes_above_the_cap():
-    # quartics (before dedup) x 8 cells x N coordinates; (a, C, b, D) x cells
+    # quartics x 8 cells x N coordinates; (a, C, b, D) x cells
     k23, g48 = K2NShape((2, 2, 2)), K2NShape((2, 4))
     assert k2n_basis_work(k23) == 3 * 4 ** 4 * 8 * 5
     assert k2n_basis_work(g48) == (4 ** 4 + 6 * 2 ** 4) * 8 * 4
