@@ -4,7 +4,7 @@ conditional-independence moves, with exact marginal-cone geometry.
 Core layers:
 
 - tables:   state spaces, sparse integer tables, reversible moves
-- graphs:   labeled graphs, separation statements, clique-marginal maps
+- graphs:   labeled graphs, quadratic moves, clique-marginal maps
 - engine:   fiber BFS, connecting paths, fiber enumeration, basis checks
 - cones:    exact facet enumeration and margin-positivity verdicts
 - families: closed-form cycle and complete-bipartite move/prime families

@@ -319,7 +319,7 @@ def _table1_row(name: str) -> dict:
     family = closed_form_family(graph)
     witnesses = closed_form_primes(graph)
     count = len(witnesses)
-    count_source = "enumeration + dedup"
+    count_source = "enumeration"
     if family == "pyramid":
         base = len(closed_form_primes(cycle_graph(graph.n_vertices - 1)))
         apex = graph.levels.levels[-1]

@@ -298,9 +298,6 @@ class PropertyVerdict:
     holds: bool
     failing_witness: Optional[object] = None  # PrimeWitness
 
-    def __bool__(self) -> bool:
-        return self.holds
-
 
 def check_margin_property(
     witnesses: Sequence[object],

@@ -90,13 +90,6 @@ class ComponentReport:
         """The packed members sorted, on first use; None when truncated."""
         return None if self.truncated else tuple(sorted(self.visited))
 
-    @cached_property
-    def members(self) -> Optional[tuple[Table, ...]]:
-        """The members in canonical order, unpacked once; None when truncated."""
-        if self.packed is None:
-            return None
-        return tuple(unpack_table(b, self.space) for b in self.packed)
-
     @property
     def member_set(self) -> set[bytes]:
         """The packed members; empty when the closure was truncated."""
@@ -139,10 +132,6 @@ class PathStep:
 class ConnectResult:
     status: str  # "connected" | "not-connected" | "inconclusive"
     path: Optional[list[PathStep]] = None
-
-    @property
-    def connected(self) -> bool:
-        return self.status == "connected"
 
 
 def _trace(parents: dict, end: bytes) -> list[tuple[int, bool]]:
@@ -339,9 +328,6 @@ class BasisVerdict:
     fibers_checked: int
     witness: Optional[tuple[Table, Table]] = None  # same margins, different components
     witness_degree: Optional[int] = None
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def verify_markov_basis(

@@ -21,10 +21,6 @@ class UnsupportedLevelsError(FiberwalkError):
     """An operation restricted to binary levels was called on wider levels."""
 
 
-class InvalidPartitionError(FiberwalkError):
-    """Vertex sets passed to a separation query overlap or are empty."""
-
-
 class TooLargeError(FiberwalkError):
     """An enumeration exceeds its stated desk-scale budget."""
 

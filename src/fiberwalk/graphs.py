@@ -1,14 +1,12 @@
-"""Labeled undirected graphs, separation statements, and marginal maps.
+"""Labeled undirected graphs, their quadratic moves, and marginal maps.
 
-The graph-side operations: graphical separation, enumeration of the
-covering conditional-independence statements, the quadratic swap moves
-those statements induce, the 0/1 clique-marginal matrix, the components
-left after removing vertices, and coning.
+The graph-side operations: the quadratic swap moves of the covering
+conditional-independence statements, the 0/1 clique-marginal matrix, the
+components left after removing vertices, and coning.
 
 `global_markov_moves` builds the quadratic moves straight from the vertex
-sets whose induced graph is disconnected, each move once.  The statement
-path (`global_markov_statements`, then `ci_quadratic_moves` per statement
-and `dedup_moves`) gives the same list and is kept as its reference.
+sets whose induced graph is disconnected, each move once.  The tests check
+it against the statement path in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -17,16 +15,14 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Iterable
+from typing import Iterable
 
-from .errors import IncompatibleShapeError, InvalidPartitionError, InvalidStateError, TooLargeError
-from .tables import Move, StateSpace, Table, dedup_moves, state_index
+from .errors import IncompatibleShapeError, InvalidStateError, TooLargeError
+from .tables import Move, StateSpace, Table, state_index
 
-VertexSet = FrozenSet[int]
-
-# Hard cap on the vertices of a graph whose statements or moves are listed:
-# statements walk the 3^N vertex labelings, moves the 2^N vertex subsets.
-MAX_STATEMENT_VERTICES = 12
+# Hard cap on the vertices of a graph whose quadratic moves are listed: only
+# the moves walk the 2^N vertex subsets.
+MAX_MOVE_VERTICES = 12
 
 
 @dataclass(frozen=True)
@@ -71,116 +67,9 @@ class LabeledGraph:
         return {v: frozenset(s) for v, s in adj.items()}
 
 
-@dataclass(frozen=True)
-class CIStatement:
-    """Covering separation triple: part_a independent of part_b given part_c."""
-
-    part_a: VertexSet
-    part_b: VertexSet
-    part_c: VertexSet
-
-    def __post_init__(self):
-        a, b, c = map(frozenset, (self.part_a, self.part_b, self.part_c))
-        if not a or not b:
-            raise InvalidPartitionError("both separated sets must be nonempty")
-        if a & b or a & c or b & c:
-            raise InvalidPartitionError("statement sets must be pairwise disjoint")
-        if min(a) > min(b):
-            a, b = b, a
-        object.__setattr__(self, "part_a", a)
-        object.__setattr__(self, "part_b", b)
-        object.__setattr__(self, "part_c", c)
-
-    def sort_key(self):
-        return (tuple(sorted(self.part_a)), tuple(sorted(self.part_b)))
-
-    def __repr__(self) -> str:
-        fmt = lambda s: "{" + ",".join(map(str, sorted(s))) + "}"
-        return f"{fmt(self.part_a)}_|_{fmt(self.part_b)}|{fmt(self.part_c)}"
-
-
-def separates(g: LabeledGraph, a: Iterable[int], b: Iterable[int], c: Iterable[int]) -> bool:
-    """True iff removing c breaks all paths from a to b (flood fill)."""
-    a, b, c = frozenset(a), frozenset(b), frozenset(c)
-    if not a or not b:
-        raise InvalidPartitionError("a and b must be nonempty")
-    if a & b or a & c or b & c:
-        raise InvalidPartitionError("a, b, c must be pairwise disjoint")
-    blocked = c
-    seen = set(a)
-    stack = list(a)
-    while stack:
-        u = stack.pop()
-        if u in b:
-            return False
-        for w in g.adjacency[u]:
-            if w not in blocked and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return True
-
-
-def global_markov_statements(g: LabeledGraph) -> list[CIStatement]:
-    """All covering statements (A,B,C): A+B+C = V, A,B nonempty, C separates.
-
-    Exhaustive over the 3^N vertex labelings; normalized min(A) < min(B);
-    deterministic order.
-    """
-    n = g.n_vertices
-    if n > MAX_STATEMENT_VERTICES:
-        raise TooLargeError(f"statement enumeration capped at {MAX_STATEMENT_VERTICES} vertices")
-    found = set()
-    for labels in itertools.product((0, 1, 2), repeat=n):
-        a = frozenset(v for v in g.vertices if labels[v - 1] == 0)
-        b = frozenset(v for v in g.vertices if labels[v - 1] == 1)
-        if not a or not b or min(a) > min(b):
-            continue
-        c = frozenset(v for v in g.vertices if labels[v - 1] == 2)
-        if separates(g, a, b, c):
-            found.add(CIStatement(a, b, c))
-    return sorted(found, key=CIStatement.sort_key)
-
-
 def _block_states(space: StateSpace, vertices: list[int]):
     """All assignments to an ascending vertex list, lexicographic."""
     return itertools.product(*(range(1, space.levels[v - 1] + 1) for v in vertices))
-
-
-def _assemble(n: int, parts: list[tuple[list[int], tuple[int, ...]]]) -> tuple[int, ...]:
-    coords = [0] * n
-    for verts, vals in parts:
-        for v, x in zip(verts, vals):
-            coords[v - 1] = x
-    return tuple(coords)
-
-
-def ci_quadratic_moves(st: CIStatement, space: StateSpace) -> list[Move]:
-    """Swap moves of one statement: exchange the A-block between two cells
-    that share the C-block, for every unordered pair of A-values and B-values.
-    """
-    va, vb, vc = (sorted(st.part_a), sorted(st.part_b), sorted(st.part_c))
-    if max(va + vb + vc) > space.n_vertices:
-        raise IncompatibleShapeError("statement mentions vertices outside the space")
-    a_vals = list(_block_states(space, va))
-    b_vals = list(_block_states(space, vb))
-    moves = []
-    for xc in _block_states(space, vc):
-        for xa, xa2 in itertools.combinations(a_vals, 2):
-            for xb, xb2 in itertools.combinations(b_vals, 2):
-                plus = Table(
-                    [
-                        (_assemble(space.n_vertices, [(va, xa), (vb, xb), (vc, xc)]), 1),
-                        (_assemble(space.n_vertices, [(va, xa2), (vb, xb2), (vc, xc)]), 1),
-                    ]
-                )
-                minus = Table(
-                    [
-                        (_assemble(space.n_vertices, [(va, xa), (vb, xb2), (vc, xc)]), 1),
-                        (_assemble(space.n_vertices, [(va, xa2), (vb, xb), (vc, xc)]), 1),
-                    ]
-                )
-                moves.append(Move(plus, minus).canonical())
-    return moves
 
 
 def global_markov_moves(g: LabeledGraph) -> list[Move]:
@@ -195,12 +84,13 @@ def global_markov_moves(g: LabeledGraph) -> list[Move]:
     components in two, the shared values off D, and the unordered pairs of
     value vectors on D that differ everywhere.  Each move is reached from
     both of its sides; only the side holding its smallest cell is kept, as
-    the plus part (`Move.canonical`).  The list equals `dedup_moves` over
-    `ci_quadratic_moves` of `global_markov_statements`, in `Move.key` order.
+    the plus part (`Move.canonical`).  The list is in `Move.key` order and
+    equals the statement path of `tests/reference.py`: the moves of every
+    covering statement, oriented and deduplicated.
     """
     n = g.n_vertices
-    if n > MAX_STATEMENT_VERTICES:
-        raise TooLargeError(f"statement enumeration capped at {MAX_STATEMENT_VERTICES} vertices")
+    if n > MAX_MOVE_VERTICES:
+        raise TooLargeError(f"quadratic moves capped at {MAX_MOVE_VERTICES} vertices")
     everyone = frozenset(g.vertices)
     found = []
     for size in range(2, n + 1):

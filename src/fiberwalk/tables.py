@@ -121,10 +121,6 @@ class Table:
         object.__setattr__(t, "_hash", hash(cells))
         return t
 
-    @classmethod
-    def unit(cls, state: State) -> "Table":
-        return cls([(tuple(state), 1)])
-
     @property
     def degree(self) -> int:
         return self._degree
@@ -135,13 +131,6 @@ class Table:
 
     def items(self) -> tuple[tuple[State, int], ...]:
         return self._cells
-
-    def get(self, state: State) -> int:
-        # linear scan is fine: in-scope tables have <= a few dozen cells
-        for s, c in self._cells:
-            if s == state:
-                return c
-        return 0
 
     def validate_on(self, space: StateSpace) -> None:
         for s, _ in self._cells:
@@ -213,9 +202,7 @@ class Move:
 
     def canonical(self) -> "Move":
         """Orient so the smallest cell overall sits in the plus part."""
-        lo_plus = self.plus.support[0]
-        lo_minus = self.minus.support[0]
-        return self if lo_plus < lo_minus else self.reverse()
+        return self if self.plus._cells[0][0] < self.minus._cells[0][0] else self.reverse()
 
     def key(self):
         c = self.canonical()
@@ -245,12 +232,3 @@ def apply_move(t: Table, m: Move) -> Table:
     for s, c in m.plus.items():
         counts[s] = counts.get(s, 0) + c
     return Table(counts)
-
-
-def dedup_moves(moves: Iterable[Move]) -> list[Move]:
-    """Canonicalize orientations and drop duplicates; deterministic order."""
-    seen = {}
-    for m in moves:
-        c = m.canonical()
-        seen.setdefault(c.key(), c)
-    return [seen[k] for k in sorted(seen)]

@@ -39,6 +39,8 @@ from fiberwalk.latin import latin_table, mols, verify_disconnection
 from fiberwalk.presets import resolve
 from fiberwalk.tables import Move, StateSpace, Table
 
+from reference import members
+
 
 @contextmanager
 def criterion(num: int, budget_s: float, desc: str):
@@ -181,9 +183,10 @@ def test_criterion_7_two_cell_walk_closed_form():
                 if p in seen:
                     continue
                 rep = connected_component(Table({(1,): p[0], (2,): p[1]}), moves, space)
-                members = {(t.get((1,)), t.get((2,))) for t in rep.members}
-                seen |= members
-                for q in members:
+                reached = {tuple(dict(t.items()).get((i,), 0) for i in (1, 2))
+                           for t in members(rep)}
+                seen |= reached
+                for q in reached:
                     label[q] = p
         for u in points:
             for v in points:

@@ -18,7 +18,7 @@ from fiberwalk import jsonio, k33
 from fiberwalk.cli import build_parser, main
 from fiberwalk.engine import _cell_codes, connected_component, unpack_table
 from fiberwalk.families import cycle_graph
-from fiberwalk.graphs import global_markov_moves
+from fiberwalk.graphs import LabeledGraph, global_markov_moves
 from fiberwalk.presets import resolve
 from fiberwalk.tables import Table
 
@@ -137,7 +137,7 @@ def test_k33_cli(capsys):
 
 
 # sha256 of json.dumps(result, sort_keys=True) of the table1 envelope
-TABLE1_RESULT_SHA256 = "b0d1e3ad04b297b971e8fa57f59b017693085c56bb6a7f7dc6c6beb5ac53b771"
+TABLE1_RESULT_SHA256 = "2008c393080c4b1c3f6e9eb909976b38df20b5f6c35340c54e33115795b46d74"
 
 
 def test_table1_cli(tmp_path, capsys):
@@ -145,6 +145,14 @@ def test_table1_cli(tmp_path, capsys):
     code, rep = run(capsys, "--json", out, "table1")
     assert code == 0
     assert rep["result"]["all_match"] is True
+    sources = {name: row["count_source"] for name, row in rep["result"]["rows"].items()}
+    assert sources == {
+        "c4": "enumeration",
+        "c5": "enumeration",
+        "g48": "enumeration",
+        "k23": "enumeration",
+        "square-pyramid": "layer-product formula (9^2), cross-checked by composition",
+    }
     with open(out) as fh:
         assert json.load(fh)["result"]["all_match"] is True
     blob = json.dumps(rep["result"], sort_keys=True).encode()
@@ -499,6 +507,15 @@ def test_bad_graph_file_is_an_error_envelope(tmp_path, capsys):
     path.write_text('[{"vertices": 4}]')
     code, rep = run(capsys, "facets", "--graph", str(path))
     assert code == 1 and "must be an object" in rep["error"]
+
+
+def test_quadratic_moves_of_a_13_vertex_graph_are_refused(tmp_path, capsys):
+    gpath, tpath = str(tmp_path / "g.json"), str(tmp_path / "t.json")
+    path = LabeledGraph.build(13, [(i, i + 1) for i in range(1, 13)], [2] * 13)
+    dump(jsonio.graph_to_json(path), gpath)
+    dump({"d": [2] * 13, "cells": [[[1] * 13, 1]]}, tpath)
+    code, rep = run(capsys, "component", "--graph", gpath, "--start", tpath)
+    assert code == 1 and rep["error"] == "quadratic moves capped at 12 vertices"
 
 
 def test_readme_command_lines_parse():

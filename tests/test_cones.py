@@ -24,6 +24,7 @@ from fiberwalk.cones import (
     is_relative_interior,
     is_strictly_positive,
 )
+from fiberwalk.engine import connected_component, enumerate_fiber
 from fiberwalk.errors import InvalidWitnessMoveError, TooLargeError
 from fiberwalk.families import (
     cycle_prime_witnesses,
@@ -31,9 +32,11 @@ from fiberwalk.families import (
     k2n_prime_witnesses,
     k2n_quartic_moves,
 )
-from fiberwalk.graphs import margin_map, margins
+from fiberwalk.graphs import global_markov_moves, margin_map, margins
 from fiberwalk.presets import resolve
 from fiberwalk.tables import Move, Table
+
+from reference import members
 
 
 def test_facets_orthant():
@@ -347,7 +350,7 @@ def test_relative_interior_full_table(c4):
     facets = cone_facets(am)
     full = Table({s: 1 for s in c4.levels.states()})
     assert is_relative_interior(am, margins(am, full), facets)
-    unit = Table.unit((1, 1, 1, 1))
+    unit = Table({(1, 1, 1, 1): 1})
     assert not is_relative_interior(am, margins(am, unit), facets)
 
 
@@ -432,6 +435,30 @@ def test_build_disconnection_witness(k23, k23_shape):
     assert u.degree == 20 and v.degree == 20
     assert margins(am, u) == margins(am, v)
     assert is_strictly_positive(margins(am, u))
+
+
+def test_k23_counterexample_splits_its_whole_fiber(k23, k23_shape):
+    # the witness-disconnect pair at c = 1: strictly positive margins, yet the
+    # quadratic moves split its fiber, and u's component leaves v out
+    am = margin_map(k23)
+    w = next(
+        x for x in k2n_prime_witnesses(k23_shape) if x.id == "P[a=3,C={1},b=4,D={1}]"
+    )
+    f = find_disconnecting_move(k2n_quartic_moves(k23_shape), w)
+    u, v = build_disconnection_witness(w, f, 1, am)
+    assert u.degree == 20 and is_strictly_positive(margins(am, u))
+    fiber = enumerate_fiber(am, margins(am, u))
+    assert len(fiber) == 196 and {u, v} <= fiber
+    moves = global_markov_moves(k23)
+    left, components = set(fiber), []
+    while left:
+        comp = set(members(connected_component(min(left), moves, k23.levels)))
+        assert comp <= left
+        left -= comp
+        components.append(comp)
+    assert sorted(map(len, components)) == [1, 1, 16, 16, 81, 81]
+    (home,) = [comp for comp in components if u in comp]
+    assert len(home) == 81 and v not in home
 
 
 def test_build_disconnection_witness_rejects_touching_move(k23, k23_shape):

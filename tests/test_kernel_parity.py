@@ -32,6 +32,8 @@ from fiberwalk.graphs import global_markov_moves
 from fiberwalk.k33 import k33_graph, k33_witness
 from fiberwalk.tables import MAX_CELLS, Move, StateSpace, Table, state_index
 
+from reference import members
+
 KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "fiberwalk" / "_kernel" / "_fast.c"
 MODULE = "fiberwalk._kernel._fast"
 
@@ -332,14 +334,14 @@ def test_closure_on_the_largest_space():
         assert edge_margins(plus) == edge_margins((u, v))
 
     start = Table({u: 1, v: 1})
-    members = {start, Table(dict.fromkeys(past5, 1)), Table(dict.fromkeys(past12, 1))}
+    expected = {start, Table(dict.fromkeys(past5, 1)), Table(dict.fromkeys(past12, 1))}
     rep = connected_component(start, moves, space)
     assert (rep.size, rep.truncated) == (3, False)
-    assert set(rep.members) == members
+    assert set(members(rep)) == expected
 
     pm = pure.pack_moves(as_pairs(moves, space))
     assert pure.component(pack_table(start, space), pm, 10) == (
-        {pack_table(m, space) for m in members}, False)
+        {pack_table(m, space) for m in expected}, False)
     subtracted = {state_index(s, space) for s in (u, v, *past5, *past12)}
     index = pm.layout(MAX_CELLS)[3]
     assert set(index) == {(MAX_CELLS - 1 - i) // 8 for i in subtracted}

@@ -102,10 +102,10 @@ def test_verify_disconnection_c4_order4():
 
 def test_verify_disconnection_preconditions():
     k3 = LabeledGraph.build(3, [(1, 2), (2, 3), (1, 3)], [3, 3, 3])
-    rep = verify_disconnection(k3, Table.unit((1, 1, 1)))
+    rep = verify_disconnection(k3, Table({(1, 1, 1): 1}))
     assert "triangle" in rep.precondition_failures[0]
     path = LabeledGraph.build(3, [(1, 2), (2, 3)], [3, 3, 3])
-    rep = verify_disconnection(path, Table.unit((1, 1, 1)))
+    rep = verify_disconnection(path, Table({(1, 1, 1): 1}))
     assert any("cut vertex" in f for f in rep.precondition_failures)
 
 
