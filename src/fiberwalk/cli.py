@@ -178,6 +178,8 @@ def cmd_facets(args):
 
 
 def cmd_check_margins(args):
+    if args.mode == "positive" and args.facet_source == "family":
+        raise FiberwalkError("--facet-source family needs --mode interior")
     graph = _load_graph(args).graph
     am = margin_map(graph)
     witnesses = [w for w in closed_form_primes(graph) if not w.is_toric]

@@ -11,6 +11,8 @@ Fukuda and Prodon).  The rays tight on a common set are an AND of bitsets
 over ray ids, read from one 256-entry table per byte of processed
 constraints; a ray keeps its id while it lives, so the bitsets persist
 across insertions and each step adds only its new rays and its constraint.
+Each step first tries a pair against the rays that blocked its last few
+rejected pairs; bitsets are transposed in bulk, through binary strings.
 Margin-property verdicts evaluate prime-witness monomials against those
 functionals.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd
-from operator import and_, mul
+from operator import and_, mul, or_
 from typing import Optional, Sequence
 
 from .errors import InvalidStateError, InvalidWitnessMoveError, TooLargeError
@@ -32,10 +34,8 @@ MAX_FACET_RANK = 25
 
 
 def _reduce(vec: tuple[int, ...]) -> tuple[int, ...]:
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    return vec if g in (0, 1) else tuple(x // g for x in vec)
+    g = gcd(*vec)
+    return vec if g in (0, 1) else tuple([x // g for x in vec])
 
 
 def _dot(a, b) -> int:
@@ -112,16 +112,16 @@ def _inverse_columns(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [_reduce(tuple([sign * row[r + j] for row in aug])) for j in range(r)]
 
 
-def _transpose(masks: list[int], width: int) -> list[int]:
-    """sets[c]: the bitset of the indices i whose masks[i] has bit c set."""
-    sets = [0] * width
-    for i, t in enumerate(masks):
-        bit_i = 1 << i
-        while t:
-            low = t & -t
-            sets[low.bit_length() - 1] |= bit_i
-            t ^= low
-    return sets
+def _transpose(masks: list[int], width: int, first: int = 0) -> list[int]:
+    """sets[c]: the bitset of the ids first + i whose masks[i] has bit c set.
+
+    Masks lie below 2**width.  Written in `width` binary digits, last mask
+    first, column j of the digits read in binary is the set of bit width-1-j.
+    """
+    if not masks:
+        return [0] * width
+    rows = [format(t, f"0{width}b") for t in reversed(masks)]
+    return [int("".join(col), 2) << first for col in zip(*rows)][::-1]
 
 
 def _extreme_rays(constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -136,16 +136,21 @@ def _extreme_rays(constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
     Each ray keeps an id while it lives, and zero[c], the bitset over ids of
     the rays tight on processed constraint c, persists across steps: a step
-    ORs each new ray's id into the sets of its tight constraints and appends
-    the set of the inserted constraint.  Dead rays stay in zero; the mask of
-    live ids masks them out.  Only when some pair is left, each group of 8
-    processed constraints gets a 256-entry table whose entry v is the AND of
-    the sets of the set bits of v, and entry 0 is the live mask.  The rays
-    tight on a common set are then the AND of one table entry per byte of
-    the set, and the pair is adjacent when that leaves the pair alone.  Live
-    rays in id order are the list order, so renumbering them 0, 1, ... with
-    one transpose of their tight masks, done when ids outnumber live rays
-    2:1, keeps the bitsets narrow and changes nothing else.
+    ORs its new rays' ids into the sets of their tight constraints, with one
+    bulk transpose of their masks, and appends the set of the inserted
+    constraint.  Dead rays stay in zero; the mask of live ids masks them
+    out.  Only when some pair is left, each group of 8 processed constraints
+    gets a 256-entry table whose entry v is the AND of the sets of the set
+    bits of v, and entry 0 is the live mask.  The rays tight on a common set
+    are then the AND of one table entry per byte of the set, and the pair is
+    adjacent when that leaves the pair alone.  Before that AND, a pair is
+    tried against the step's last 8 blockers: a live ray other than the pair
+    that is tight on the whole common set proves the pair not adjacent.  A
+    pair the AND rejects adds its lowest-id survivor as a blocker.  Neither
+    changes which pairs are adjacent or their order.  Live rays in id order
+    are the list order, so renumbering them 0, 1, ... with one transpose of
+    their tight masks, done when ids outnumber live rays 2:1, keeps the
+    bitsets narrow and changes nothing else.
     """
     r = len(constraints[0])
     base_idx = _independent_subset(constraints)
@@ -171,7 +176,7 @@ def _extreme_rays(constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         if ci in in_base:
             continue
         m = constraints[ci]
-        vals = [_dot(m, ray) for ray in rays]
+        vals = [sum(map(mul, m, ray)) for ray in rays]
         pos_tight = [(ip, tight[ip]) for ip, v in enumerate(vals) if v > 0]
         neg_tight = [(im, tight[im]) for im, v in enumerate(vals) if v < 0]
         pairs = [
@@ -191,14 +196,23 @@ def _extreme_rays(constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
                 tables.append(tab)
             nbytes = len(tables)
             entry = list.__getitem__
+            where = dict(zip(ids, range(len(ids))))
+            blockers = []  # (position, tight mask) of the last 8 rays that blocked a pair
             for ip, im, common in pairs:
-                rest = reduce(and_, map(entry, tables, common.to_bytes(nbytes, "little")))
-                if rest != (1 << ids[ip]) | (1 << ids[im]):
-                    continue
-                vp, vm = vals[ip], vals[im]
-                ray = tuple([vp * b - vm * a for a, b in zip(rays[ip], rays[im])])
-                new_rays.append(_reduce(ray))
-                new_tight.append(common)
+                for w, t in blockers:
+                    if common & t == common and w != ip and w != im:
+                        break
+                else:
+                    rest = reduce(and_, map(entry, tables, common.to_bytes(nbytes, "little")))
+                    rest ^= (1 << ids[ip]) | (1 << ids[im])
+                    if rest:
+                        w = where[(rest & -rest).bit_length() - 1]
+                        blockers = [(w, tight[w])] + blockers[:7]
+                        continue
+                    vp, vm = vals[ip], vals[im]
+                    ray = tuple([vp * b - vm * a for a, b in zip(rays[ip], rays[im])])
+                    new_rays.append(_reduce(ray))
+                    new_tight.append(common)
             del tables
         keep = []
         on_ci = 0
@@ -211,13 +225,8 @@ def _extreme_rays(constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
             else:
                 live ^= 1 << ids[k]
         first = n_ids
-        for t in new_tight:
-            bit_id = 1 << n_ids
-            n_ids += 1
-            while t:
-                low = t & -t
-                zero[low.bit_length() - 1] |= bit_id
-                t ^= low
+        n_ids += len(new_tight)
+        zero = list(map(or_, zero, _transpose(new_tight, len(zero), first)))
         new_ids = ((1 << len(new_tight)) - 1) << first
         on_ci |= new_ids
         live |= new_ids

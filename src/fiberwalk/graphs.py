@@ -179,13 +179,12 @@ class MarginMap:
             row += size
         self.n_rows = row
         self.n_cols = self.space.total_cells
-        # per-cell row incidences, in cell index order
-        self._rows_of_cell: list[tuple[int, ...]] = []
-        for x in self.space.states():
-            rows = []
-            for ci, cl in enumerate(self.cliques):
-                rows.append(self.block_starts[ci] + self._clique_state_rank(ci, x))
-            self._rows_of_cell.append(tuple(rows))
+        # per-cell row incidences, by state and in cell index order
+        self._rows_of_state = {
+            x: tuple(s + self._clique_state_rank(ci, x) for ci, s in enumerate(self.block_starts))
+            for x in self.space.states()
+        }
+        self._rows_of_cell = list(self._rows_of_state.values())
 
     def _clique_state_rank(self, clique_idx: int, x) -> int:
         rank = 0
@@ -239,9 +238,14 @@ class MarginMap:
 
     def margins(self, t: Table) -> tuple[int, ...]:
         out = [0] * self.n_rows
-        for s, c in t.items():
-            for r in self._rows_of_cell[state_index(s, self.space)]:
-                out[r] += c
+        try:
+            for s, c in t.items():
+                for r in self._rows_of_state[s]:
+                    out[r] += c
+        except (KeyError, TypeError):
+            for s, _ in t.items():
+                state_index(s, self.space)  # raises for the state outside the space
+            raise
         return tuple(out)
 
     def validate_key(self, key: tuple[int, ...]) -> None:
@@ -261,8 +265,10 @@ def margin_map(g: LabeledGraph) -> MarginMap:
 def margins(am: MarginMap, t: Table) -> tuple[int, ...]:
     """Exact integer clique marginals of a table.
 
-    Each state is checked once, by `state_index` inside `MarginMap.margins`,
-    in cell order: a bad state raises what `Table.validate_on` would.
+    States are looked up in the map's state -> rows dict.  When one is not
+    there, `state_index` checks every state in cell order, so a bad state
+    raises what `Table.validate_on` would.  A coordinate that equals an int
+    (such as 1.0) finds that int's rows.
     """
     return am.margins(t)
 

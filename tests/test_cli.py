@@ -109,6 +109,15 @@ def test_check_margins_cli(capsys):
     assert code == 0 and rep["result"]["holds"] is True
 
 
+@pytest.mark.parametrize("preset", ["k23", "c5"])
+def test_family_facets_without_interior_mode_are_refused(capsys, preset):
+    # positive mode reads no facets, so it must not echo a facet source it ignored
+    code, rep = run(capsys, "check-margins", "--preset", preset, "--mode", "positive",
+                    "--facet-source", "family")
+    assert code == 1 and "result" not in rep
+    assert rep["error"] == "--facet-source family needs --mode interior"
+
+
 def test_witness_disconnect_cli(capsys):
     code, rep = run(capsys, "witness-disconnect", "--preset", "k23", "--c", "1")
     assert code == 0

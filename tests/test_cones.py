@@ -7,7 +7,7 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fiberwalk.cones import (
@@ -15,6 +15,7 @@ from fiberwalk.cones import (
     _extreme_rays,
     _inverse_columns,
     _reduce,
+    _transpose,
     build_disconnection_witness,
     check_margin_property,
     cone_facets,
@@ -249,10 +250,18 @@ def test_extreme_rays_are_exact_across_renumbering(rows):
     from fiberwalk import cones
 
     r = len(rows[0])
-    # the first transpose builds the starting bitsets; each later one renumbers
-    with mock.patch.object(cones, "_transpose", wraps=cones._transpose) as transpose:
+    firsts = []
+
+    def spy(masks, width, first=0):
+        firsts.append(first)
+        return _transpose(masks, width, first)
+
+    # the first transpose builds the starting bitsets from id 0, and each
+    # step's transpose numbers its new rays from n_ids >= r > 0; a later
+    # transpose from id 0 renumbers
+    with mock.patch.object(cones, "_transpose", spy):
         rays = _extreme_rays(rows)
-    assert transpose.call_count > 1
+    assert firsts[0] == 0 and 0 in firsts[1:]
     for z in rays:
         assert _reduce(z) == z and any(z)
         vals = [sum(a * b for a, b in zip(row, z)) for row in rows]
@@ -261,6 +270,26 @@ def test_extreme_rays_are_exact_across_renumbering(rows):
     assert len(set(rays)) == len(rays)
     assert not set(rays) & {tuple(-x for x in z) for z in rays}
     assert set(_extreme_rays(rows[::-1])) == set(rays)
+
+
+@given(
+    st.integers(1, 70).flatmap(
+        lambda width: st.tuples(
+            st.just(width),
+            st.lists(st.integers(0, 2**width - 1), max_size=40),
+            st.integers(0, 100),
+        )
+    )
+)
+@example((1, [], 0))
+@example((9, [0, 1, 0, 0b101], 3))
+def test_transpose_matches_its_definition(case):
+    width, masks, first = case
+    expected = [
+        sum(1 << (first + i) for i, t in enumerate(masks) if t >> c & 1) for c in range(width)
+    ]
+    assert _transpose(masks, width, first) == expected
+    assert _transpose(masks, width) == [s >> first for s in expected]
 
 
 @pytest.mark.parametrize("name", ["c5", "k23", "g48", "square-pyramid"])
@@ -459,6 +488,45 @@ def test_k23_counterexample_splits_its_whole_fiber(k23, k23_shape):
     assert sorted(map(len, components)) == [1, 1, 16, 16, 81, 81]
     (home,) = [comp for comp in components if u in comp]
     assert len(home) == 81 and v not in home
+
+
+def _strictly_positive_table(am, degree, rng):
+    """A random table of degree at least `degree` with every margin positive:
+    while some row is empty, add a random cell of that row, then random cells."""
+    states = am.space.states_by_index
+    counts = [0] * len(states)
+    covered = [0] * am.n_rows
+    while 0 in covered or sum(counts) < degree:
+        if 0 in covered:
+            row = covered.index(0)
+            i = rng.choice([i for i in range(len(states)) if row in am.rows_of_cell(i)])
+        else:
+            i = rng.randrange(len(states))
+        counts[i] += 1
+        for row in am.rows_of_cell(i):
+            covered[row] += 1
+    return Table({s: c for s, c in zip(states, counts) if c})
+
+
+# Table 1's positive-margins rows, at degrees whose fibers list in well under
+# 0.1 s (up to about 1,100 tables)
+@pytest.mark.parametrize("name, degrees", [
+    ("c4", (8, 12)), ("c5", (8, 9)), ("g48", (8, 10)), ("square-pyramid", (8, 10)),
+])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_positive_margin_fibers_are_connected_by_quadrics(name, degrees, data):
+    from fiberwalk.presets import table1_expected
+
+    assert table1_expected()[name]["positive_margins"] is True
+    g = resolve(name).graph
+    am = margin_map(g)
+    rng = data.draw(st.randoms(use_true_random=False))
+    start = _strictly_positive_table(am, data.draw(st.integers(*degrees)), rng)
+    key = margins(am, start)
+    assert is_strictly_positive(key)
+    component = set(members(connected_component(start, global_markov_moves(g), g.levels)))
+    assert component == set(enumerate_fiber(am, key))
 
 
 def test_build_disconnection_witness_rejects_touching_move(k23, k23_shape):

@@ -15,7 +15,7 @@ from fiberwalk.graphs import (
     maximal_cliques,
 )
 from fiberwalk.presets import resolve
-from fiberwalk.tables import Move, Table
+from fiberwalk.tables import Move, Table, state_index
 
 from reference import (
     CIStatement,
@@ -259,12 +259,27 @@ def test_margins_additive(c4):
         ({(1, 1, 1): 1}, "state (1, 1, 1) has arity 3, expected 4"),
         ({(1, 1, 1, 1): 2, (1, 1, 3, 1): 1}, "coordinate 3 of state (1, 1, 3, 1) outside 1..2"),
         ({(2, 0, 1, 1): 1, (1, 1, 1): 1}, "state (1, 1, 1) has arity 3, expected 4"),
+        # a coordinate the state dict cannot find falls back to the state check
+        ({(1, 1, "1", 1): 1}, "coordinate 3 of state (1, 1, '1', 1) outside 1..2"),
     ],
 )
 def test_margins_rejects_bad_states(c4, cells, message):
     with pytest.raises(InvalidStateError) as err:
         margins(margin_map(c4), Table(cells))
     assert str(err.value) == message
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(["seth-c4-3", "k33"]), st.randoms(use_true_random=False))
+def test_margins_match_the_per_cell_sum(name, rng):
+    am = margin_map(resolve(name).graph)
+    states = am.space.states_by_index
+    t = Table({s: rng.randint(1, 5) for s in rng.sample(states, rng.randint(0, len(states)))})
+    expected = [0] * am.n_rows
+    for s, c in t.items():
+        for r in am.rows_of_cell(state_index(s, am.space)):
+            expected[r] += c
+    assert margins(am, t) == tuple(expected)
 
 
 def test_margins_seth_table_all_ones():
