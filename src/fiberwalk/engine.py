@@ -48,7 +48,7 @@ def pack_table(t: Table, space: StateSpace) -> bytes:
 
 def unpack_table(b: bytes, space: StateSpace) -> Table:
     states = space.states_by_index
-    return Table([(states[i], c) for i, c in enumerate(b) if c])
+    return Table._trusted(tuple((states[i], c) for i, c in enumerate(b) if c))
 
 
 def pack_move_set(moves: Sequence[Move], space: StateSpace):
@@ -250,7 +250,7 @@ def enumerate_fiber(am: MarginMap, key: tuple[int, ...], size_cap: int = 100_000
     i = 0
     while i >= 0:
         if i == n_cells:
-            out.append(Table([(states[j], c) for j, c in enumerate(counts) if c]))
+            out.append(Table._trusted(tuple((states[j], c) for j, c in enumerate(counts) if c)))
             if len(out) > size_cap:
                 raise FiberTooLargeError(f"fiber exceeds the cap of {size_cap}")
             i -= 1
@@ -371,16 +371,10 @@ def verify_markov_basis(
     # margin fields wide enough for every table and every move part that fits a byte
     widest = max([degree_bound, *(m.degree for m in moves)])
     codes = _cell_codes(am, min(widest, MAX_PACKED_DEGREE).bit_length() + 1)
-    code_of = dict(zip(space.states_by_index, codes))
     cells, ones = 8 * n, int.from_bytes(b"\x01" * n, "big")  # ones: 0x01 in each cell byte
 
     def as_int(t: Table) -> int:
-        try:
-            return sum(c * code_of[s] for s, c in t.items())
-        except (KeyError, TypeError):
-            for s, _ in t.items():
-                state_index(s, space)  # raises for the state outside the space
-            raise
+        return sum(c * codes[state_index(s, space)] for s, c in t.items())
 
     # grow[d][t]: t with the cells of every table a degree-d move links to it
     grow: dict[int, dict[int, int]] = {}

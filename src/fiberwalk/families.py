@@ -270,6 +270,11 @@ def k2n_markov_basis(shape: K2NShape) -> list[Move]:
     return sorted(k2n_quadratic_moves(shape) + quartics, key=Move.key)
 
 
+def _proper_subsets(d: int) -> list[frozenset[int]]:
+    """The nonempty proper subsets of 1..d, by size, then lexicographically."""
+    return [frozenset(c) for r in range(1, d) for c in itertools.combinations(range(1, d + 1), r)]
+
+
 def k2n_prime_witnesses(shape: K2NShape) -> list[PrimeWitness]:
     """Slice primes P(a,C,b,D), plus toric.
 
@@ -289,17 +294,8 @@ def k2n_prime_witnesses(shape: K2NShape) -> list[PrimeWitness]:
     out = []
     for a, b in pair_iter:
         da, db = shape.level_of(a), shape.level_of(b)
-        c_subsets = [
-            frozenset(c)
-            for r in range(1, da)
-            for c in itertools.combinations(range(1, da + 1), r)
-        ]
-        d_subsets = [
-            frozenset(d)
-            for r in range(1, db)
-            for d in itertools.combinations(range(1, db + 1), r)
-        ]
-        for c_set in c_subsets:
+        d_subsets = _proper_subsets(db)
+        for c_set in _proper_subsets(da):
             for d_set in d_subsets:
                 # the cells off the variables: on the (1,1) and (2,2) slices
                 # those with x_a in C just at (2,2), on (1,2) and (2,1) those
@@ -345,13 +341,8 @@ def k2n_facet_inequalities(shape: K2NShape, am: MarginMap) -> list[Functional]:
     free = list(range(3, n + 1))
     for a, b in itertools.permutations(free, 2):
         da, db = shape.level_of(a), shape.level_of(b)
-        c_subsets = [
-            set(c) for r in range(1, da) for c in itertools.combinations(range(1, da + 1), r)
-        ]
-        d_subsets = [
-            set(d) for r in range(1, db) for d in itertools.combinations(range(1, db + 1), r)
-        ]
-        for c_set in c_subsets:
+        d_subsets = _proper_subsets(db)
+        for c_set in _proper_subsets(da):
             for d_set in d_subsets:
                 coeffs = [0] * am.n_rows
                 for k in range(1, da + 1):
@@ -403,10 +394,12 @@ def pyramid_prime_witnesses(
             else:
                 cells.extend((s + (level,), c) for s, c in w.table.items())
         label = ",".join(w.id for w in combo)
+        # the apex level is the last coordinate: the layers' cells are distinct
+        # but interleave in state order
         out.append(
             PrimeWitness(
                 id=f"pyr[{label}]",
-                table=Table(cells),
+                table=Table._trusted(tuple(sorted(cells))),
                 origin="pyramid",
             )
         )

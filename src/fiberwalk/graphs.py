@@ -179,12 +179,11 @@ class MarginMap:
             row += size
         self.n_rows = row
         self.n_cols = self.space.total_cells
-        # per-cell row incidences, by state and in cell index order
-        self._rows_of_state = {
-            x: tuple(s + self._clique_state_rank(ci, x) for ci, s in enumerate(self.block_starts))
-            for x in self.space.states()
-        }
-        self._rows_of_cell = list(self._rows_of_state.values())
+        # per-cell row incidences, in cell index order
+        self._rows_of_cell = [
+            tuple(s + self._clique_state_rank(ci, x) for ci, s in enumerate(self.block_starts))
+            for x in self.space.states_by_index
+        ]
 
     def _clique_state_rank(self, clique_idx: int, x) -> int:
         rank = 0
@@ -238,14 +237,10 @@ class MarginMap:
 
     def margins(self, t: Table) -> tuple[int, ...]:
         out = [0] * self.n_rows
-        try:
-            for s, c in t.items():
-                for r in self._rows_of_state[s]:
-                    out[r] += c
-        except (KeyError, TypeError):
-            for s, _ in t.items():
-                state_index(s, self.space)  # raises for the state outside the space
-            raise
+        rows_of_cell, space = self._rows_of_cell, self.space
+        for s, c in t.items():
+            for r in rows_of_cell[state_index(s, space)]:
+                out[r] += c
         return tuple(out)
 
     def validate_key(self, key: tuple[int, ...]) -> None:
@@ -265,10 +260,8 @@ def margin_map(g: LabeledGraph) -> MarginMap:
 def margins(am: MarginMap, t: Table) -> tuple[int, ...]:
     """Exact integer clique marginals of a table.
 
-    States are looked up in the map's state -> rows dict.  When one is not
-    there, `state_index` checks every state in cell order, so a bad state
-    raises what `Table.validate_on` would.  A coordinate that equals an int
-    (such as 1.0) finds that int's rows.
+    Each state finds its cell through `state_index`, so the first state
+    outside the map's space, in cell order, raises InvalidStateError.
     """
     return am.margins(t)
 

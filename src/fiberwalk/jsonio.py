@@ -15,9 +15,9 @@ import json
 import operator
 from typing import Union
 
-from .errors import InvalidInputError, InvalidStateError
+from .errors import InvalidInputError
 from .graphs import LabeledGraph
-from .tables import Move, StateSpace, Table
+from .tables import Move, StateSpace, Table, state_index
 
 
 def graph_to_json(g: LabeledGraph) -> dict:
@@ -40,6 +40,9 @@ def _list(data, what: str) -> list:
     return data
 
 
+_INT = frozenset({int})
+
+
 def _integer(value, what: str) -> int:
     # bool is an int subclass, but JSON true is no count
     if type(value) is not int:
@@ -58,7 +61,7 @@ def graph_from_json(data: dict) -> LabeledGraph:
     try:
         n, edges, levels = data["vertices"], data["edges"], data["d"]
     except KeyError as missing:
-        raise InvalidStateError(f"graph JSON lacks key {missing}")
+        raise InvalidInputError(f"graph JSON lacks key {missing}")
     edges = [tuple(_integer(v, "edge end") for v in _pair(e, "edge"))
              for e in _list(edges, "edges")]
     return LabeledGraph.build(_integer(n, "vertices"), edges, _list(levels, "d"))
@@ -69,11 +72,15 @@ def _cells_to_json(t: Table) -> list:
 
 
 def _cells_from_json(cells) -> Table:
+    """A table from a JSON cell list, each cell checked in one pass: a
+    two-element list of a list of integer coordinates and an integer count.
+    Equal states merge and zero counts drop, as in `Table`."""
     pairs = []
     for cell in _list(cells, "cells"):
         state, count = _pair(cell, "cell")
-        state = tuple(_integer(c, "coordinate") for c in _list(state, "state"))
-        pairs.append((state, _integer(count, "count")))
+        if not _INT.issuperset(map(type, _list(state, "state"))):
+            _integer(next(c for c in state if type(c) is not int), "coordinate")  # raises
+        pairs.append((tuple(state), _integer(count, "count")))
     return Table(pairs)
 
 
@@ -110,8 +117,9 @@ def table_from_json(data: dict) -> tuple[Table, StateSpace]:
         space = StateSpace(tuple(_list(data["d"], "d")))
         table = _cells_from_json(data["cells"])
     except KeyError as missing:
-        raise InvalidStateError(f"table JSON lacks key {missing}")
-    table.validate_on(space)
+        raise InvalidInputError(f"table JSON lacks key {missing}")
+    for s, _ in table.items():
+        state_index(s, space)  # raises for a state outside the space
     return table, space
 
 
@@ -124,7 +132,7 @@ def move_from_json(data: dict) -> Move:
     try:
         return Move(_cells_from_json(data["plus"]), _cells_from_json(data["minus"]))
     except KeyError as missing:
-        raise InvalidStateError(f"move JSON lacks key {missing}")
+        raise InvalidInputError(f"move JSON lacks key {missing}")
 
 
 def moves_from_json(data: Union[list, dict]) -> list[Move]:

@@ -140,11 +140,12 @@ def latin_table(g: LabeledGraph, squares: list[LatinSquare]) -> Table:
         for s2 in squares[i + 1 :]:
             if not are_orthogonal(s1, s2):
                 raise InvalidStateError("squares are not pairwise orthogonal")
-    cells = []
-    for i in range(1, d0 + 1):
-        for j in range(1, d0 + 1):
-            cells.append(((i, j) + tuple(sq.value(i, j) for sq in squares), 1))
-    return Table(cells)
+    # one cell per (i, j), so the cells come sorted and distinct
+    return Table._trusted(tuple(
+        ((i, j) + tuple(sq.value(i, j) for sq in squares), 1)
+        for i in range(1, d0 + 1)
+        for j in range(1, d0 + 1)
+    ))
 
 
 def _has_triangle(g: LabeledGraph) -> bool:

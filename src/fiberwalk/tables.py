@@ -1,14 +1,18 @@
 """Product state spaces, sparse nonnegative integer tables, and moves.
 
-States are 1-based coordinate tuples.  A Table maps states to positive
-counts and is immutable, hashable and totally ordered, so tables can be
-used directly as set members and dict keys during fiber searches.  A Move
-is a pair of disjointly supported tables of equal degree; applying it
-subtracts the negative part and adds the positive part.
+States are 1-based coordinate tuples; cell i of a space is its i-th state
+in lexicographic order.  `state_index` is the one state -> cell lookup and
+the one place a state outside its space is refused.  A Table maps states
+to positive counts and is immutable, hashable and totally ordered, so
+tables can be used directly as set members and dict keys during fiber
+searches; it checks its counts, and its states meet their space through
+`state_index`.  A Move is a pair of disjointly supported tables of equal
+degree; applying it subtracts the negative part and adds the positive part.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
@@ -60,30 +64,28 @@ class StateSpace:
 
     def states(self) -> Iterator[State]:
         """All states in index order (last coordinate fastest)."""
-        x = [1] * len(self.levels)
-        while True:
-            yield tuple(x)
-            for v in range(len(x) - 1, -1, -1):
-                if x[v] < self.levels[v]:
-                    x[v] += 1
-                    break
-                x[v] = 1
-            else:
-                return
+        return iter(self.states_by_index)
 
     @cached_property
     def states_by_index(self) -> tuple[State, ...]:
         """All states in index order, built once; index order is lexicographic."""
-        return tuple(self.states())
+        return tuple(itertools.product(*(range(1, d + 1) for d in self.levels)))
+
+    @cached_property
+    def index_by_state(self) -> dict[State, int]:
+        """The inverse of `states_by_index`, built once."""
+        return {x: i for i, x in enumerate(self.states_by_index)}
 
 
 def state_index(x: State, space: StateSpace) -> int:
-    """Mixed-radix rank of a state, last coordinate fastest."""
-    space.check_state(x)
-    idx = 0
-    for c, d in zip(x, space.levels):
-        idx = idx * d + (c - 1)
-    return idx
+    """The position of a state in `space.states_by_index`.  A state the space
+    lacks raises InvalidStateError; a coordinate equal to an int (1.0, True)
+    finds that int's cell."""
+    try:
+        return space.index_by_state[x]
+    except (KeyError, TypeError):
+        space.check_state(x)  # raises: no state of the space was found
+        raise
 
 
 class Table:
@@ -131,10 +133,6 @@ class Table:
 
     def items(self) -> tuple[tuple[State, int], ...]:
         return self._cells
-
-    def validate_on(self, space: StateSpace) -> None:
-        for s, _ in self._cells:
-            space.check_state(s)
 
     def __bool__(self) -> bool:
         return bool(self._cells)

@@ -529,6 +529,44 @@ def test_positive_margin_fibers_are_connected_by_quadrics(name, degrees, data):
     assert component == set(enumerate_fiber(am, key))
 
 
+# Table 1's interior-point rows (all five), at degrees whose drawn fibers
+# list in well under 0.1 s
+@pytest.mark.parametrize("name, degrees", [
+    ("c4", (6, 14)), ("c5", (6, 9)), ("g48", (8, 12)), ("square-pyramid", (10, 14)),
+    ("k23", (6, 11)),
+])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_interior_margin_fibers_are_connected_by_quadrics(name, degrees, data, preset_facets):
+    from fiberwalk.presets import table1_expected
+
+    assert table1_expected()[name]["interior_point"] is True
+    g = resolve(name).graph
+    am = margin_map(g)
+    rng = data.draw(st.randoms(use_true_random=False))
+    start = _strictly_positive_table(am, data.draw(st.integers(*degrees)), rng)
+    key = margins(am, start)
+    assume(is_relative_interior(am, key, preset_facets(name)))
+    component = set(members(connected_component(start, global_markov_moves(g), g.levels)))
+    assert component == set(enumerate_fiber(am, key))
+
+
+@pytest.mark.parametrize("c", [1, 2])
+def test_k23_counterexamples_lie_on_the_cone_boundary(c, k23, k23_shape, preset_facets):
+    # k23 has positive_margins false but interior_point true: the
+    # witness-disconnect pairs split a strictly positive fiber, so their
+    # margins must sit on a facet
+    am = margin_map(k23)
+    w = next(
+        x for x in k2n_prime_witnesses(k23_shape) if x.id == "P[a=3,C={1},b=4,D={1}]"
+    )
+    u, v = build_disconnection_witness(w, find_disconnecting_move(k2n_quartic_moves(k23_shape), w),
+                                       c, am)
+    key = margins(am, u)
+    assert margins(am, v) == key and is_strictly_positive(key)
+    assert not is_relative_interior(am, key, preset_facets("k23"))
+
+
 def test_build_disconnection_witness_rejects_touching_move(k23, k23_shape):
     w = next(
         x for x in k2n_prime_witnesses(k23_shape) if x.id == "P[a=3,C={1},b=4,D={1}]"

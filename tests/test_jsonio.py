@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fiberwalk import jsonio
 from fiberwalk.engine import MAX_PACKED_DEGREE, unpack_table
-from fiberwalk.errors import InvalidStateError
+from fiberwalk.errors import InvalidInputError, InvalidStateError
 from fiberwalk.families import cycle_graph
 from fiberwalk.graphs import LabeledGraph, global_markov_moves
 from fiberwalk.tables import Move, StateSpace, Table
@@ -36,7 +36,7 @@ def test_table_roundtrip():
 def test_table_json_validates_states():
     with pytest.raises(InvalidStateError):
         jsonio.table_from_json({"d": [2, 2], "cells": [[[1, 3], 1]]})
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(InvalidInputError, match="table JSON lacks key 'cells'"):
         jsonio.table_from_json({"d": [2, 2]})
 
 

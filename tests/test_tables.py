@@ -4,12 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fiberwalk import jsonio
+from fiberwalk.engine import are_connected, connected_component, pack_table, verify_markov_basis
 from fiberwalk.errors import (
+    InvalidInputError,
     InvalidMoveError,
     InvalidStateError,
     MoveNotApplicableError,
     TooLargeError,
 )
+from fiberwalk.graphs import global_markov_moves, margin_map, margins
 from fiberwalk.tables import (
     MAX_CELLS,
     Move,
@@ -158,3 +162,62 @@ def test_states_by_index_is_state_at_and_sorted(levels):
     assert [state_index(x, space) for x in states] == list(range(space.total_cells))
     assert list(states) == sorted(states)
     assert space.states_by_index is states
+
+
+# Every entry point takes a state to its cell through state_index, so a bad
+# state raises the same text wherever it enters.
+BAD_STATES = [
+    ((1, 1, 1), "state (1, 1, 1) has arity 3, expected 4"),
+    ((1, 1, 3, 1), "coordinate 3 of state (1, 1, 3, 1) outside 1..2"),
+    ((1, 1, "1", 1), "coordinate 3 of state (1, 1, '1', 1) outside 1..2"),
+]
+
+ENTRY_POINTS = {
+    "connected_component": lambda g, x: connected_component(Table({x: 1}), [], g.levels),
+    "are_connected": lambda g, x: are_connected(Table({(2, 2, 2, 2): 1}), Table({x: 1}), [],
+                                                g.levels),
+    "margins": lambda g, x: margins(margin_map(g), Table({x: 1})),
+    "verify_markov_basis": lambda g, x: verify_markov_basis(
+        [Move(Table({x: 1}), Table({(2, 2, 2, 2): 1}))], margin_map(g), 1),
+    "table_from_json": lambda g, x: jsonio.table_from_json(
+        {"d": list(g.levels.levels), "cells": [[list(x), 1]]}),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("state, message", BAD_STATES)
+def test_every_entry_point_refuses_a_bad_state_alike(c4, entry, state, message):
+    if entry == "table_from_json" and type(state[2]) is str:
+        # a JSON reader refuses a coordinate that is no integer before the
+        # state meets its space
+        with pytest.raises(InvalidInputError) as err:
+            ENTRY_POINTS[entry](c4, state)
+        assert str(err.value) == "coordinate must be an integer, not '1'"
+        return
+    with pytest.raises(InvalidStateError) as err:
+        ENTRY_POINTS[entry](c4, state)
+    assert str(err.value) == message
+
+
+def test_a_coordinate_equal_to_an_int_is_that_int(c4):
+    # the library reads (1.0, 1, 1, 1) as (1, 1, 1, 1) everywhere; the JSON
+    # readers refuse 1.0 and true at the boundary
+    space, am, moves = c4.levels, margin_map(c4), global_markov_moves(c4)
+    ints = Table({(1, 1, 1, 1): 1, (2, 2, 1, 1): 1})
+    floats = Table({(1.0, 1, 1, 1): 1, (2, 2, 1, 1): 1})
+    assert state_index((1.0, 1, 1, 1), space) == 0
+    assert pack_table(floats, space) == pack_table(ints, space)
+    assert margins(am, floats) == margins(am, ints)
+    assert (connected_component(floats, moves, space).visited
+            == connected_component(ints, moves, space).visited)
+    assert are_connected(floats, ints, moves, space).status == "connected"
+    first = Move(Table({tuple(map(float, s)): c for s, c in moves[0].plus.items()}),
+                 moves[0].minus)
+    assert verify_markov_basis([first] + moves[1:], am, 3) == verify_markov_basis(moves, am, 3)
+    for bad in (1.0, True):
+        with pytest.raises(InvalidInputError) as err:
+            jsonio.table_from_json({"d": [2, 2, 2, 2], "cells": [[[bad, 1, 1, 1], 1]]})
+        assert str(err.value) == f"coordinate must be an integer, not {bad!r}"
+        with pytest.raises(InvalidInputError) as err:
+            jsonio.move_from_json({"plus": [[[bad, 1, 1, 1], 1]], "minus": [[[2, 1, 1, 1], 1]]})
+        assert str(err.value) == f"coordinate must be an integer, not {bad!r}"
