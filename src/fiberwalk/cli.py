@@ -28,7 +28,7 @@ from .cones import (
     find_disconnecting_move,
     is_strictly_positive,
 )
-from .engine import are_connected, connected_component, verify_markov_basis
+from .engine import DEFAULT_NODE_CAP, are_connected, connected_component, verify_markov_basis
 from .errors import FiberwalkError
 from .families import (
     K2NShape,
@@ -44,8 +44,8 @@ from .families import (
     pyramid_prime_count,
 )
 from .graphs import global_markov_moves, margin_map, margins
-from .k33 import k33_run, k33_search
-from .latin import latin_table, mols, verify_disconnection
+from .k33 import SEARCH_MAX_PAIRS, k33_run, k33_search
+from .latin import DISCONNECT_NODE_CAP, latin_table, mols, verify_disconnection
 from .presets import PRESET_NAMES, Preset, resolve, table1_expected
 
 MEMBER_DUMP_LIMIT = 10_000
@@ -312,6 +312,8 @@ def cmd_k33(args):
             "u_minus": jsonio.table_to_json(found["u_minus"], preset.space),
             "w": jsonio.table_to_json(found["w"], preset.space),
         }, 0
+    if args.on != "k33" or args.max_pairs != SEARCH_MAX_PAIRS:
+        raise FiberwalkError("--on and --max-pairs need --search")
     return k33_run(), 0
 
 
@@ -407,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_opts(sp)
     sp.add_argument("--start", help="table JSON file")
     add_move_opts(sp)
-    sp.add_argument("--cap", type=int, default=1_000_000)
+    sp.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP)
     sp.add_argument("--dump", action="store_true",
                     help="list the members even when there are more than "
                          f"MEMBER_DUMP_LIMIT = {MEMBER_DUMP_LIMIT:,}")
@@ -417,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--u", required=True)
     sp.add_argument("--v", required=True)
     add_move_opts(sp)
-    sp.add_argument("--cap", type=int, default=1_000_000)
+    sp.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP)
 
     sp = add_parser("verify-basis", help="do the moves connect every fiber up to a degree?")
     add_graph_opts(sp)
@@ -438,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_opts(sp)
     sp.add_argument("--prime", help="prime id (default: first strictly-positive witness)")
     sp.add_argument("--c", type=int, default=1, help="padding multiplier")
-    sp.add_argument("--cap", type=int, default=1_000_000)
+    sp.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP)
 
     sp = add_parser("family", help="closed-form move/prime families")
     fam_sub = sp.add_subparsers(dest="what", required=True)
@@ -460,13 +462,13 @@ def build_parser() -> argparse.ArgumentParser:
     l2 = lat_sub.add_parser("disconnect", parents=[shared])
     add_graph_opts(l2)
     l2.add_argument("--order", type=int, required=True)
-    l2.add_argument("--cap", type=int, default=100_000)
+    l2.add_argument("--cap", type=int, default=DISCONNECT_NODE_CAP)
 
     sp = add_parser("k33", help="the pinned six-vertex experiment")
     sp.add_argument("--search", action="store_true", help="re-search the witness")
     sp.add_argument("--on", choices=["k33", "g154"], default="k33",
                     help="model the --search scans")
-    sp.add_argument("--max-pairs", type=nonnegative_int, default=200,
+    sp.add_argument("--max-pairs", type=nonnegative_int, default=SEARCH_MAX_PAIRS,
                     help="bound the candidate pairs --search tries; 0 tries none and "
                          "enumerates no table")
 

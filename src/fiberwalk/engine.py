@@ -76,7 +76,6 @@ def _pack_move_set(moves: tuple[Move, ...], space: StateSpace, pack_moves):
 class ComponentReport:
     """BFS closure of a start table under a move set."""
 
-    start: Table
     truncated: bool
     space: StateSpace
     visited: set[bytes]  # the kernel's packed closure; a prefix of it when truncated
@@ -119,7 +118,7 @@ def connected_component(
     # the compiled kernel reads the cap as a C size; no closure is larger
     cap = min(node_cap, sys.maxsize)
     visited, truncated = kernel.component(packed, pm, cap)
-    return ComponentReport(start=start, truncated=truncated, space=space, visited=visited)
+    return ComponentReport(truncated=truncated, space=space, visited=visited)
 
 
 @dataclass

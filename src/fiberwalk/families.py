@@ -330,15 +330,9 @@ def k2n_facet_inequalities(shape: K2NShape, am: MarginMap) -> list[Functional]:
     (P(a,C,b,D) vanishes exactly on the functional with indices
     (a, C, b, complement of D)).
     """
-    n = shape.n_total
-
-    def row(i: int, a: int, xi: int, xa: int) -> int:
-        clique = (i, a)
-        ci = am.cliques.index(clique)
-        return am.block_starts[ci] + (xi - 1) * shape.level_of(a) + (xa - 1)
-
+    row = am.row_of  # keyed by (clique, clique state)
     out = []
-    free = list(range(3, n + 1))
+    free = list(range(3, shape.n_total + 1))
     for a, b in itertools.permutations(free, 2):
         da, db = shape.level_of(a), shape.level_of(b)
         d_subsets = _proper_subsets(db)
@@ -347,12 +341,12 @@ def k2n_facet_inequalities(shape: K2NShape, am: MarginMap) -> list[Functional]:
                 coeffs = [0] * am.n_rows
                 for k in range(1, da + 1):
                     if k in c_set:
-                        coeffs[row(1, a, 1, k)] += 1
+                        coeffs[row[(1, a), (1, k)]] += 1
                     else:
-                        coeffs[row(2, a, 2, k)] += 1
+                        coeffs[row[(2, a), (2, k)]] += 1
                 for l in d_set:
-                    coeffs[row(2, b, 1, l)] += 1
-                    coeffs[row(1, b, 1, l)] -= 1
+                    coeffs[row[(2, b), (1, l)]] += 1
+                    coeffs[row[(1, b), (1, l)]] -= 1
                 out.append(Functional(tuple(coeffs)))
     return out
 

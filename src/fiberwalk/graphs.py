@@ -67,7 +67,7 @@ class LabeledGraph:
         return {v: frozenset(s) for v, s in adj.items()}
 
 
-def _block_states(space: StateSpace, vertices: list[int]):
+def _block_states(space: StateSpace, vertices: Iterable[int]):
     """All assignments to an ascending vertex list, lexicographic."""
     return itertools.product(*(range(1, space.levels[v - 1] + 1) for v in vertices))
 
@@ -158,57 +158,41 @@ def maximal_cliques(g: LabeledGraph) -> list[tuple[int, ...]]:
 class MarginMap:
     """The 0/1 matrix taking a table to its stacked maximal-clique marginals.
 
-    Rows are blocks: one block per maximal clique, one row per clique-state
-    (clique states in lexicographic order).  Entry((C, y_C), x) = 1 iff the
-    restriction of x to C equals y_C.
+    Row r is the key `row_keys[r]` = (C, y_C): a maximal clique C and a state
+    y_C of its vertices.  Rows come in blocks, one per clique in
+    `maximal_cliques` order, each block's clique states lexicographic (first
+    vertex slowest); `row_of` inverts the keys.  Entry((C, y_C), x) = 1 iff
+    the restriction of x to C equals y_C.
     """
 
     def __init__(self, g: LabeledGraph):
         self.graph = g
-        self.space = g.levels
+        self.space = space = g.levels
         self.cliques = tuple(maximal_cliques(g))
-        self.block_sizes = []
-        self.block_starts = []
-        row = 0
-        for cl in self.cliques:
-            size = 1
-            for v in cl:
-                size *= self.space.levels[v - 1]
-            self.block_starts.append(row)
-            self.block_sizes.append(size)
-            row += size
-        self.n_rows = row
-        self.n_cols = self.space.total_cells
-        # per-cell row incidences, in cell index order
-        self._rows_of_cell = [
-            tuple(s + self._clique_state_rank(ci, x) for ci, s in enumerate(self.block_starts))
-            for x in self.space.states_by_index
-        ]
-
-    def _clique_state_rank(self, clique_idx: int, x) -> int:
-        rank = 0
-        for v in self.cliques[clique_idx]:
-            rank = rank * self.space.levels[v - 1] + (x[v - 1] - 1)
-        return rank
+        self.row_keys = tuple((cl, y) for cl in self.cliques for y in _block_states(space, cl))
+        self.row_of = {key: r for r, key in enumerate(self.row_keys)}
+        self.n_rows = len(self.row_keys)
+        self.n_cols = space.total_cells
+        self.block_starts = starts = [self.row_of[cl, (1,) * len(cl)] for cl in self.cliques]
+        self.block_sizes = [end - s for s, end in zip(starts, starts[1:] + [self.n_rows])]
+        # per-cell row incidences, in cell index order, one clique at a time:
+        # coords[v - 1] holds vertex v's value in every cell
+        coords = tuple(zip(*space.states_by_index))
+        blocks = []
+        for cl, s, n in zip(self.cliques, starts, self.block_sizes):
+            row = {y: r for r, (_, y) in enumerate(self.row_keys[s : s + n], s)}
+            blocks.append(map(row.__getitem__, zip(*(coords[v - 1] for v in cl))))
+        self._rows_of_cell = list(zip(*blocks))
 
     def rows_of_cell(self, cell_index: int) -> tuple[int, ...]:
         return self._rows_of_cell[cell_index]
 
     def row_label(self, row: int) -> str:
         """Human-readable '(clique; clique-state)' label."""
-        for ci, cl in enumerate(self.cliques):
-            start, size = self.block_starts[ci], self.block_sizes[ci]
-            if start <= row < start + size:
-                rank = row - start
-                coords = []
-                for v in reversed(cl):
-                    d = self.space.levels[v - 1]
-                    coords.append(rank % d + 1)
-                    rank //= d
-                state = ",".join(map(str, reversed(coords)))
-                verts = ",".join(map(str, cl))
-                return f"({verts}; {state})"
-        raise IndexError(row)
+        if not 0 <= row < self.n_rows:
+            raise IndexError(row)
+        cl, y = self.row_keys[row]
+        return f"({','.join(map(str, cl))}; {','.join(map(str, y))})"
 
     def columns(self) -> list[tuple[int, ...]]:
         """Dense 0/1 column vectors, one per cell, in cell index order."""

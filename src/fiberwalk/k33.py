@@ -24,6 +24,8 @@ SEARCH_COMPONENT_CAP = 512
 # the pinned closures hold 18, 18 and 90 tables and the path search stays
 # inside the 90, so this cap never binds
 RUN_NODE_CAP = 4096
+# candidate pairs k33_search tries unless told otherwise
+SEARCH_MAX_PAIRS = 200
 
 
 def k33_graph() -> LabeledGraph:
@@ -93,7 +95,7 @@ def k33_run() -> dict:
     }
 
 
-def k33_search(max_pairs: int = 200, graph: Optional[LabeledGraph] = None) -> Optional[dict]:
+def k33_search(max_pairs: int = SEARCH_MAX_PAIRS, graph: Optional[LabeledGraph] = None) -> Optional[dict]:
     """Search for a (pair, cofactor) witness instead of using the pinned one.
 
     Scans equal-margin degree-4 0/1 table pairs with disjoint supports that

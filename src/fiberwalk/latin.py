@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cones import MAX_FACET_COLUMNS, MAX_FACET_RANK, cone_facets, is_relative_interior
-from .errors import InvalidStateError, UnsupportedLevelsError
+from .cones import cone_facets, is_relative_interior
+from .errors import InvalidStateError, TooLargeError, UnsupportedLevelsError
 from .graphs import (
     LabeledGraph,
     components_without,
@@ -25,6 +25,8 @@ from .graphs import (
 from .tables import Table
 
 SUPPORTED_ORDERS = (2, 3, 4, 5, 7, 8, 9)
+# tables the component search of verify_disconnection visits before it stops
+DISCONNECT_NODE_CAP = 100_000
 
 # pinned irreducible polynomials (coefficient tuples, ascending degree)
 _IRREDUCIBLE = {
@@ -183,23 +185,23 @@ def _uniform_mixture_certificate(am, y: tuple[int, ...], degree: int) -> bool:
 
     If total_cells * y equals degree * (column sum of the margin matrix)
     entrywise, then y is a strictly positive combination of all columns,
-    hence lies in the relative interior of the cone they generate.
+    hence lies in the relative interior of the cone they generate.  A row
+    of clique C covers total_cells / |states of C| cells, so the test reads
+    y_r * |states of C| = degree.
     """
-    colsum = [0] * am.n_rows
-    for i in range(am.n_cols):
-        for r in am.rows_of_cell(i):
-            colsum[r] += 1
-    total = am.n_cols
-    return all(total * yv == degree * cs for yv, cs in zip(y, colsum))
+    blocks = zip(am.block_starts, am.block_sizes)
+    return all(yv * n == degree for s, n in blocks for yv in y[s : s + n])
 
 
-def verify_disconnection(g: LabeledGraph, t: Table, node_cap: int = 100_000) -> DisconnectionReport:
+def verify_disconnection(
+    g: LabeledGraph, t: Table, node_cap: int = DISCONNECT_NODE_CAP
+) -> DisconnectionReport:
     """Check that t is stuck alone in a fiber with interior margins.
 
     Reports the component size under the graph's quadratic moves, strict
-    margin positivity, relative interiority (facets when the rank budget
-    allows, else the exact uniform-mixture certificate), and a second
-    fiber element obtained by permuting symbols at one vertex.
+    margin positivity, relative interiority (facets when `cone_facets`
+    fits its budget, else the exact uniform-mixture certificate), and a
+    second fiber element obtained by permuting symbols at one vertex.
     """
     failures = []
     if _has_triangle(g):
@@ -216,15 +218,13 @@ def verify_disconnection(g: LabeledGraph, t: Table, node_cap: int = 100_000) -> 
     moves = global_markov_moves(g)
     comp = connected_component(t, moves, g.levels, node_cap=node_cap)
 
-    if am.n_cols <= MAX_FACET_COLUMNS and am.rank <= MAX_FACET_RANK:
-        interior = is_relative_interior(am, y, cone_facets(am))
-        method = "facets"
-    elif _uniform_mixture_certificate(am, y, t.degree):
-        interior = True
-        method = "uniform-mixture"
+    try:
+        facets = cone_facets(am)
+    except TooLargeError:
+        interior = True if _uniform_mixture_certificate(am, y, t.degree) else None
+        method = "uniform-mixture" if interior else "unchecked"
     else:
-        interior = None
-        method = "unchecked"
+        interior, method = is_relative_interior(am, y, facets), "facets"
 
     # image under swapping symbols 1 and 2 at vertex 1: same margins here
     # because all 2-way margins of t are constant on blocks

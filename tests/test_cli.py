@@ -145,6 +145,19 @@ def test_k33_cli(capsys):
     assert (rep["result"]["c18a"], rep["result"]["c18b"], rep["result"]["c90"]) == (18, 18, 90)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--on", "g154"],
+    ["--max-pairs", "0"],
+    ["--on", "g154", "--max-pairs", "0"],
+])
+def test_k33_refuses_search_options_without_search(capsys, argv):
+    code, rep = run(capsys, "k33", *argv)
+    assert code == 1 and rep["error"] == "--on and --max-pairs need --search"
+    # their defaults, spelled out, still run the pinned experiment
+    code, rep = run(capsys, "k33", "--on", "k33", "--max-pairs", "200")
+    assert code == 0 and rep["result"]["c90"] == 90
+
+
 # sha256 of json.dumps(result, sort_keys=True) of the table1 envelope
 TABLE1_RESULT_SHA256 = "2008c393080c4b1c3f6e9eb909976b38df20b5f6c35340c54e33115795b46d74"
 

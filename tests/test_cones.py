@@ -478,16 +478,37 @@ def test_k23_counterexample_splits_its_whole_fiber(k23, k23_shape):
     assert u.degree == 20 and is_strictly_positive(margins(am, u))
     fiber = enumerate_fiber(am, margins(am, u))
     assert len(fiber) == 196 and {u, v} <= fiber
-    moves = global_markov_moves(k23)
-    left, components = set(fiber), []
-    while left:
-        comp = set(members(connected_component(min(left), moves, k23.levels)))
-        assert comp <= left
-        left -= comp
-        components.append(comp)
+    components = _quadric_components(fiber, k23)
     assert sorted(map(len, components)) == [1, 1, 16, 16, 81, 81]
     (home,) = [comp for comp in components if u in comp]
     assert len(home) == 81 and v not in home
+
+
+def test_k23_positive_margins_split_at_degree_8(k23, preset_facets):
+    # a strictly positive fiber on the cone's boundary, well below the
+    # degree-20 witness pair: its 8 tables fall into two components of 4
+    am = margin_map(k23)
+    cells = ("11111", "11121", "12111", "12212", "21121", "21222", "22211", "22221")
+    t = Table({tuple(map(int, c)): 1 for c in cells})
+    y = margins(am, t)
+    assert y == (3, 1, 1, 3, 3, 1, 1, 3, 3, 1, 3, 1, 3, 1, 1, 3, 1, 3, 3, 1, 3, 1, 3, 1)
+    assert is_strictly_positive(y)
+    assert not is_relative_interior(am, y, preset_facets("k23"))
+    fiber = enumerate_fiber(am, y)
+    assert len(fiber) == 8 and t in fiber
+    assert sorted(map(len, _quadric_components(fiber, k23))) == [4, 4]
+
+
+def _quadric_components(fiber, g):
+    """The fiber's components under the graph's quadratic moves."""
+    moves = global_markov_moves(g)
+    left, components = set(fiber), []
+    while left:
+        comp = set(members(connected_component(min(left), moves, g.levels)))
+        assert comp <= left
+        left -= comp
+        components.append(comp)
+    return components
 
 
 def _strictly_positive_table(am, degree, rng):

@@ -14,7 +14,7 @@ from fiberwalk.graphs import (
     margins,
     maximal_cliques,
 )
-from fiberwalk.presets import resolve
+from fiberwalk.presets import PRESET_NAMES, resolve
 from fiberwalk.tables import Move, Table, state_index
 
 from reference import (
@@ -280,6 +280,34 @@ def test_margins_match_the_per_cell_sum(name, rng):
         for r in am.rows_of_cell(state_index(s, am.space)):
             expected[r] += c
     assert margins(am, t) == tuple(expected)
+
+
+# every preset with a graph; k2n on mixed levels
+GRAPH_MODELS = {
+    name: resolve(name, k2n_levels=(3, 2) if name == "k2n" else None).graph
+    for name in PRESET_NAMES
+}
+
+
+@pytest.mark.parametrize("name", [name for name, g in GRAPH_MODELS.items() if g is not None])
+def test_row_labels_name_the_cells_of_their_rows(name):
+    # row r, labelled (C; y), holds exactly the cells whose state restricts
+    # to y on C; the rows run in (clique, clique state) order
+    am = margin_map(GRAPH_MODELS[name])
+    states = am.space.states_by_index
+    keys = []
+    for r in range(am.n_rows):
+        clique, y = (
+            tuple(map(int, part.split(","))) for part in am.row_label(r).strip("()").split("; ")
+        )
+        assert clique in am.cliques
+        cells = {i for i in range(am.n_cols) if r in am.rows_of_cell(i)}
+        assert cells == {i for i, x in enumerate(states) if tuple(x[v - 1] for v in clique) == y}
+        keys.append((clique, y))
+    assert keys == sorted(set(keys))
+    for row in (-1, am.n_rows):
+        with pytest.raises(IndexError):
+            am.row_label(row)
 
 
 def test_margins_seth_table_all_ones():
