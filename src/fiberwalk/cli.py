@@ -38,6 +38,7 @@ from .families import (
     cycle_graph,
     cycle_markov_basis,
     k2n_facet_inequalities,
+    k2n_graph,
     k2n_markov_basis,
     k2n_quartic_moves,
     k2n_shape_of,
@@ -182,7 +183,7 @@ def cmd_check_margins(args):
         raise FiberwalkError("--facet-source family needs --mode interior")
     graph = _load_graph(args).graph
     am = margin_map(graph)
-    witnesses = [w for w in closed_form_primes(graph) if not w.is_toric]
+    witnesses = closed_form_primes(graph)
     facets = None
     facet_source = None
     if args.mode == "interior":
@@ -207,7 +208,7 @@ def cmd_witness_disconnect(args):
     preset = _load_graph(args)
     shape = k2n_shape_of(preset.graph)
     am = margin_map(preset.graph)
-    witnesses = [w for w in closed_form_primes(preset.graph) if not w.is_toric]
+    witnesses = closed_form_primes(preset.graph)
     if args.prime:
         try:
             w = next(x for x in witnesses if x.id == args.prime)
@@ -254,20 +255,22 @@ def cmd_family(args):
             graph = cycle_graph(args.n)
         elif args.n is not None:
             raise FiberwalkError("--n needs --graph cycle")
+        elif len(args.levels or ()) < 2:
+            raise FiberwalkError("family primes --graph k2n needs --levels, two or more of them")
         else:
-            graph = resolve("k2n", k2n_levels=tuple(args.levels or ())).graph
+            graph = k2n_graph(K2NShape(tuple(args.levels)))
         ws = closed_form_primes(graph)
-        result = {"n_min_primes": len(ws)}
+        result = {"n_min_primes": len(ws) + 1}  # and the toric ideal
         if not args.count_only:
             result["primes"] = [
                 {
                     "id": w.id,
                     "origin": w.origin,
-                    "n_variables": graph.levels.total_cells - len(w.table) if w.table else 0,
-                    "witness": jsonio.table_to_json(w.table, graph.levels) if w.table else None,
+                    "n_variables": graph.levels.total_cells - len(w.table),
+                    "witness": jsonio.table_to_json(w.table, graph.levels),
                 }
                 for w in ws
-            ]
+            ] + [{"id": "toric", "origin": "toric", "n_variables": 0, "witness": None}]
         return result, 0
 
 
@@ -322,19 +325,19 @@ def _table1_row(name: str) -> dict:
     am = margin_map(graph)
     family = closed_form_family(graph)
     witnesses = closed_form_primes(graph)
-    count = len(witnesses)
+    count = len(witnesses) + 1  # and the toric ideal
     count_source = "enumeration"
     if family == "pyramid":
-        base = len(closed_form_primes(cycle_graph(graph.n_vertices - 1)))
+        # a layer's choices: a listed base prime or the base's toric ideal
+        base = len(closed_form_primes(cycle_graph(graph.n_vertices - 1))) + 1
         apex = graph.levels.levels[-1]
-        count = pyramid_prime_count(base, apex)
+        formula = pyramid_prime_count(base, apex)
+        if formula != count:
+            raise FiberwalkError(f"{formula} primes by formula but {count} composed")
         count_source = f"layer-product formula ({base}^{apex}), cross-checked by composition"
-        if count != len(witnesses):
-            raise FiberwalkError(f"{count} primes by formula but {len(witnesses)} composed")
-    checkable = [w for w in witnesses if not w.is_toric]
-    pos = check_margin_property(checkable, am)
+    pos = check_margin_property(witnesses, am)
     facets = cone_facets(am)
-    interior = check_margin_property(checkable, am, facets)
+    interior = check_margin_property(witnesses, am, facets)
     row = {
         "positive_margins": pos.holds,
         "interior_point": interior.holds,
@@ -345,7 +348,7 @@ def _table1_row(name: str) -> dict:
     }
     if family == "k2n":
         fam = k2n_facet_inequalities(k2n_shape_of(graph), am)
-        row["interior_point_family_route"] = check_margin_property(checkable, am, fam).holds
+        row["interior_point_family_route"] = check_margin_property(witnesses, am, fam).holds
         row["facet_source"] += " + family-inequalities(mirrored)"
     return row
 

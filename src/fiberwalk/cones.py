@@ -14,7 +14,9 @@ across insertions and each step adds only its new rays and its constraint.
 Each step first tries a pair against the rays that blocked its last few
 rejected pairs; bitsets are transposed in bulk, through binary strings.
 Margin-property verdicts evaluate prime-witness monomials against those
-functionals.
+functionals.  Each listed prime (fiberwalk.families) is a minimal prime
+other than the toric ideal, given by its witness monomial; the toric ideal
+splits no fiber, so no verdict reads it.
 """
 
 from __future__ import annotations
@@ -322,8 +324,6 @@ def check_margin_property(
     failing witness is the first by id that does not; the check stops there.
     """
     for w in sorted(witnesses, key=lambda w: w.id):
-        if w.table is None:
-            raise InvalidStateError(f"{w.id}: toric marker has no witness monomial")
         y = margins(am, w.table)
         if 0 in y or (facets is not None and any(f.evaluate(y) == 0 for f in facets)):
             continue
@@ -333,10 +333,7 @@ def check_margin_property(
 
 def move_avoids_variables(f: Move, witness) -> bool:
     """True when f uses none of the prime's variables: every cell of f lies
-    in the support of the witness monomial (the toric marker has no
-    variables)."""
-    if witness.table is None:
-        return True
+    in the support of the witness monomial."""
     support = set(witness.table.support)
     return all(s in support for s in f.plus.support + f.minus.support)
 
@@ -353,8 +350,6 @@ def build_disconnection_witness(witness, f: Move, c: int, am: MarginMap) -> tupl
     """The pair (f.plus + c*u_P, f.minus + c*u_P) used to split a fat fiber."""
     if c < 0:
         raise InvalidStateError("multiplier c must be nonnegative")
-    if witness.table is None:
-        raise InvalidWitnessMoveError(f"{witness.id} is a toric marker")
     if not move_avoids_variables(f, witness):
         raise InvalidWitnessMoveError("move touches the prime's generating variables")
     pad = witness.table.scale(c)

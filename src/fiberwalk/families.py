@@ -6,6 +6,10 @@ defining patterns (sign patterns on cyclic blocks, slice patterns on
 tensor coordinates), each move and each prime built once.  The quadratic
 moves are the graph's global-Markov moves from fiberwalk.graphs: all of
 them for K(2,m), and for the cycle those that swap two opposite arcs.
+
+A listed prime is a minimal prime of the model's conditional-independence
+ideal that can split a fiber, named by its witness monomial.  The toric
+ideal, the one other minimal prime, is never listed; a prime count adds it.
 """
 
 from __future__ import annotations
@@ -23,25 +27,16 @@ from .tables import Move, State, StateSpace, Table
 
 @dataclass(frozen=True)
 class PrimeWitness:
-    """A minimal-prime descriptor: its witness table.
+    """A listed prime, named by its witness monomial.
 
     The witness table is the exponent vector of the product of all cells
     *not* generating the prime, so the prime's variables are the cells
-    outside the table's support.  The toric component is a marker with no
-    variables and no witness table.
+    outside the table's support.
     """
 
     id: str
-    table: Optional[Table]
-    origin: str  # "cycle" | "k2n" | "pyramid" | "toric"
-
-    @property
-    def is_toric(self) -> bool:
-        return self.table is None
-
-
-def toric_marker() -> PrimeWitness:
-    return PrimeWitness(id="toric", table=None, origin="toric")
+    table: Table
+    origin: str  # "cycle" | "k2n" | "pyramid"
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +137,7 @@ def cycle_markov_basis(n: int) -> list[Move]:
 
 
 def cycle_prime_witnesses(n: int) -> list[PrimeWitness]:
-    """One witness per quartic, plus the toric marker.
+    """One witness per quartic.
 
     The prime generated by all cells dividing neither quartic term is
     witnessed by the quartic's own support (all eight cells, count one).
@@ -155,9 +150,7 @@ def cycle_prime_witnesses(n: int) -> list[PrimeWitness]:
         table = f.plus + f.minus
         label = ".".join("".join(map(str, s)) for s in table.support)
         out.append(PrimeWitness(id=f"P_f[{label}]", table=table, origin="cycle"))
-    out.sort(key=lambda w: w.id)
-    out.append(toric_marker())
-    return out
+    return sorted(out, key=lambda w: w.id)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +269,7 @@ def _proper_subsets(d: int) -> list[frozenset[int]]:
 
 
 def k2n_prime_witnesses(shape: K2NShape) -> list[PrimeWitness]:
-    """Slice primes P(a,C,b,D), plus toric.
+    """Slice primes P(a,C,b,D).
 
     Variables: cells with (x1,x2)=(1,1) and x_a in C; (1,2) and x_b in D;
     (2,1) and x_b not in D; (2,2) and x_a not in C.  For N=4 only a=b
@@ -311,9 +304,7 @@ def k2n_prime_witnesses(shape: K2NShape) -> list[PrimeWitness]:
                     table=Table._trusted(cells),
                     origin="k2n",
                 ))
-    out.sort(key=lambda w: w.id)
-    out.append(toric_marker())
-    return out
+    return sorted(out, key=lambda w: w.id)
 
 
 def k2n_facet_inequalities(shape: K2NShape, am: MarginMap) -> list[Functional]:
@@ -356,7 +347,8 @@ def k2n_facet_inequalities(shape: K2NShape, am: MarginMap) -> list[Functional]:
 
 
 def pyramid_prime_count(base_count: int, d0: int) -> int:
-    """Minimal primes of a coned model: one base component per apex level."""
+    """Minimal primes of a coned model: one base component per apex level,
+    out of `base_count` (the base's toric ideal counted among them)."""
     if base_count < 1 or d0 < 2:
         raise InvalidStateError("need base_count >= 1 and apex level >= 2")
     return base_count ** d0
@@ -367,27 +359,23 @@ def pyramid_prime_witnesses(
 ) -> list[PrimeWitness]:
     """Compose coned-graph witnesses layerwise from base witnesses.
 
-    Each apex level carries an independent base component (monomial prime
-    or toric); a toric layer contributes every layer cell to the witness
-    monomial and no variables.  The all-toric tuple is the coned graph's
-    toric component and is returned as the marker.
+    Each apex level carries an independent base component: a listed base
+    prime, or the base's toric ideal (None here, labelled "toric"), whose
+    layer contributes every layer cell to the witness monomial and no
+    variables.  The all-toric tuple is the coned graph's toric ideal, which
+    is not listed.
     """
     base_space = base_graph.levels
-    base_list = sorted(
-        [w for w in base_witnesses if not w.is_toric], key=lambda w: w.id
-    )
-    choices = base_list + [toric_marker()]
+    choices = sorted(base_witnesses, key=lambda w: w.id) + [None]
     out = []
     for combo in itertools.product(choices, repeat=d0):
-        if all(w.is_toric for w in combo):
+        if all(w is None for w in combo):
             continue
         cells = []
         for level, w in enumerate(combo, start=1):
-            if w.is_toric:
-                cells.extend((x + (level,), 1) for x in base_space.states())
-            else:
-                cells.extend((s + (level,), c) for s, c in w.table.items())
-        label = ",".join(w.id for w in combo)
+            layer = w.table.items() if w else ((x, 1) for x in base_space.states())
+            cells.extend((s + (level,), c) for s, c in layer)
+        label = ",".join(w.id if w else "toric" for w in combo)
         # the apex level is the last coordinate: the layers' cells are distinct
         # but interleave in state order
         out.append(
@@ -397,9 +385,7 @@ def pyramid_prime_witnesses(
                 origin="pyramid",
             )
         )
-    out.sort(key=lambda w: w.id)
-    out.append(toric_marker())
-    return out
+    return sorted(out, key=lambda w: w.id)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +417,8 @@ def k2n_shape_of(g: LabeledGraph) -> K2NShape:
 
 
 def closed_form_primes(g: LabeledGraph) -> list[PrimeWitness]:
-    """The prime witnesses of g's closed-form family; NoClosedFormError if none."""
+    """The listed primes of g's closed-form family, the toric ideal not among
+    them; NoClosedFormError if g has no closed-form family."""
     family = closed_form_family(g)
     if family == "cycle":
         return cycle_prime_witnesses(g.n_vertices)

@@ -64,7 +64,8 @@ def graph_from_json(data: dict) -> LabeledGraph:
         raise InvalidInputError(f"graph JSON lacks key {missing}")
     edges = [tuple(_integer(v, "edge end") for v in _pair(e, "edge"))
              for e in _list(edges, "edges")]
-    return LabeledGraph.build(_integer(n, "vertices"), edges, _list(levels, "d"))
+    levels = [_integer(v, "level") for v in _list(levels, "d")]
+    return LabeledGraph.build(_integer(n, "vertices"), edges, levels)
 
 
 def _cells_to_json(t: Table) -> list:
@@ -114,7 +115,7 @@ def packed_tables_text(packed, space: StateSpace) -> list[str]:
 def table_from_json(data: dict) -> tuple[Table, StateSpace]:
     data = _object(data, "table")
     try:
-        space = StateSpace(tuple(_list(data["d"], "d")))
+        space = StateSpace(tuple(_integer(v, "level") for v in _list(data["d"], "d")))
         table = _cells_from_json(data["cells"])
     except KeyError as missing:
         raise InvalidInputError(f"table JSON lacks key {missing}")

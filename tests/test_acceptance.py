@@ -58,13 +58,14 @@ def criterion(num: int, budget_s: float, desc: str):
 
 def test_criterion_1_prime_counts():
     with criterion(1, 10, "minimal-prime counts: 9 / 41 / 37 / 201 / 81"):
-        assert len(cycle_prime_witnesses(4)) == 9
-        assert len(cycle_prime_witnesses(5)) == 41
-        assert len(k2n_prime_witnesses(K2NShape((2, 2, 2)))) == 37
-        assert len(k2n_prime_witnesses(K2NShape((2, 4)))) == 201
+        # the listed primes, and the toric ideal
+        assert len(cycle_prime_witnesses(4)) + 1 == 9
+        assert len(cycle_prime_witnesses(5)) + 1 == 41
+        assert len(k2n_prime_witnesses(K2NShape((2, 2, 2)))) + 1 == 37
+        assert len(k2n_prime_witnesses(K2NShape((2, 4)))) + 1 == 201
         assert pyramid_prime_count(9, 2) == 81
         composed = pyramid_prime_witnesses(cycle_graph(4), cycle_prime_witnesses(4), 2)
-        assert len(composed) == 81
+        assert len(composed) + 1 == 81
 
 
 def test_criterion_2_property_verdicts():
@@ -88,7 +89,7 @@ def test_criterion_2_property_verdicts():
         for name, (want_pos, want_int) in expected.items():
             g = resolve(name).graph
             am = margin_map(g)
-            ws = [w for w in witnesses[name] if not w.is_toric]
+            ws = witnesses[name]
             pos = check_margin_property(ws, am).holds
             facets = cone_facets(am)
             interior = check_margin_property(ws, am, facets).holds
@@ -97,7 +98,7 @@ def test_criterion_2_property_verdicts():
         # the bipartite model double-checked via the explicit inequality family
         shape = K2NShape((2, 2, 2))
         am = margin_map(k2n_graph(shape))
-        ws = [w for w in k2n_prime_witnesses(shape) if not w.is_toric]
+        ws = k2n_prime_witnesses(shape)
         fam = k2n_facet_inequalities(shape, am)
         assert check_margin_property(ws, am, fam).holds
         # and each of the 24 inequalities is itself a brute-force facet

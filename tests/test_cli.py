@@ -492,8 +492,12 @@ def test_incomplete_input_is_an_error_envelope(capsys, argv):
     ('{"d": [2], "cells": [[[1], 2.7]]}', "integer"),
     ('{"d": [2, 2, 2, 2], "cells": [[[true, 1, 2, 1], 1]]}', "coordinate must be an integer"),
     ('{"d": [2, 2, 2, 2], "cells": [[[1.0, 1, 2, 1], 1]]}', "coordinate must be an integer"),
+    ('{"d": [2.5, 2], "cells": []}', "level must be an integer, not 2.5"),
+    ('{"d": ["2", 2], "cells": []}', "level must be an integer, not '2'"),
+    ('{"d": [2, 2.0], "cells": []}', "level must be an integer, not 2.0"),
+    ('{"d": [true, 2], "cells": []}', "level must be an integer, not True"),
 ], ids=["missing", "malformed", "list", "string-count", "fractional-count", "bool-coordinate",
-        "float-coordinate"])
+        "float-coordinate", "fractional-level", "string-level", "float-level", "bool-level"])
 def test_bad_table_file_is_an_error_envelope(tmp_path, capsys, content, needle):
     path = tmp_path / "start.json"
     if content is not None:
@@ -526,9 +530,17 @@ def test_bad_moves_file_is_an_error_envelope(tmp_path, capsys, content, needle):
 
 def test_bad_graph_file_is_an_error_envelope(tmp_path, capsys):
     path = tmp_path / "g.json"
-    path.write_text('[{"vertices": 4}]')
-    code, rep = run(capsys, "facets", "--graph", str(path))
-    assert code == 1 and "must be an object" in rep["error"]
+    edges = '"edges": [[1, 2]]'
+    for content, needle in [
+        ('[{"vertices": 4}]', "must be an object"),
+        ('{"vertices": 2, "d": [2.5, 2], %s}' % edges, "level must be an integer, not 2.5"),
+        ('{"vertices": 2, "d": ["2", 2], %s}' % edges, "level must be an integer, not '2'"),
+        ('{"vertices": 2, "d": [2, 2.0], %s}' % edges, "level must be an integer, not 2.0"),
+        ('{"vertices": 2, "d": [true, 2], %s}' % edges, "level must be an integer, not True"),
+    ]:
+        path.write_text(content)
+        code, rep = run(capsys, "facets", "--graph", str(path))
+        assert code == 1 and needle in rep["error"], content
 
 
 def test_quadratic_moves_of_a_13_vertex_graph_are_refused(tmp_path, capsys):
@@ -630,6 +642,9 @@ def test_k2n_levels_without_the_k2n_preset_is_an_error(fuzz_files, capsys, model
     (["--graph", "cycle", "--n", "4", "--levels", "2", "9"], "--levels needs --graph k2n"),
     (["--graph", "cycle", "--n", "4", "--levels"], "--levels needs --graph k2n"),
     (["--graph", "k2n", "--levels", "2", "2", "--n", "7"], "--n needs --graph cycle"),
+    (["--graph", "k2n"], "family primes --graph k2n needs --levels, two or more of them"),
+    (["--graph", "k2n", "--levels", "2"],
+     "family primes --graph k2n needs --levels, two or more of them"),
 ])
 def test_family_primes_refuses_the_other_familys_option(capsys, argv, error):
     code, rep = run(capsys, "family", "primes", *argv, "--count-only")

@@ -424,14 +424,14 @@ def test_cycle_witness_margins_fail_strict_positivity(c4):
 
 def test_check_margin_property_c4(c4):
     am = margin_map(c4)
-    ws = [w for w in cycle_prime_witnesses(4) if not w.is_toric]
+    ws = cycle_prime_witnesses(4)
     assert check_margin_property(ws, am).holds
     assert check_margin_property(ws, am, cone_facets(am)).holds
 
 
 def test_check_margin_property_k23(k23, k23_shape):
     am = margin_map(k23)
-    ws = [w for w in k2n_prime_witnesses(k23_shape) if not w.is_toric]
+    ws = k2n_prime_witnesses(k23_shape)
     verdict = check_margin_property(ws, am)
     assert not verdict.holds
     assert verdict.failing_witness.id == "P[a=3,C={1},b=4,D={1}]"
@@ -442,7 +442,7 @@ def test_check_margin_property_k23(k23, k23_shape):
 
 def test_check_margin_property_permutation_invariant(k23, k23_shape):
     am = margin_map(k23)
-    ws = [w for w in k2n_prime_witnesses(k23_shape) if not w.is_toric]
+    ws = k2n_prime_witnesses(k23_shape)
     rng = random.Random(23)
     shuffled = ws[:]
     rng.shuffle(shuffled)

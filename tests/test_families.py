@@ -101,14 +101,14 @@ def test_k2n_quartics_pinned_and_built_once(free):
 
 @pytest.mark.parametrize("n", range(4, MAX_CYCLE_N + 1))
 def test_cycle_prime_witnesses_are_distinct(n):
-    ws = [w for w in cycle_prime_witnesses(n) if not w.is_toric]
+    ws = cycle_prime_witnesses(n)
     assert len(ws) == comb(n, 3) * 2 ** (n - 3)
     assert len({w.table for w in ws}) == len(ws)
 
 
 @pytest.mark.parametrize("free", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 2, 2), (2, 6)])
 def test_k2n_prime_witnesses_are_distinct(free):
-    ws = [w for w in k2n_prime_witnesses(K2NShape(free)) if not w.is_toric]
+    ws = k2n_prime_witnesses(K2NShape(free))
     assert len({w.table for w in ws}) == len({w.id for w in ws}) == len(ws)
 
 
@@ -165,11 +165,9 @@ def test_cycle_basis_guards():
 def test_cycle_witness_counts_and_shape(c4):
     w4 = cycle_prime_witnesses(4)
     w5 = cycle_prime_witnesses(5)
-    assert len(w4) == 9 and len(w5) == 41
-    assert sum(1 for w in w4 if w.is_toric) == 1
+    # the listed primes, and the toric ideal
+    assert len(w4) + 1 == 9 and len(w5) + 1 == 41
     for w in w4:
-        if w.is_toric:
-            continue
         assert w.table.degree == 8
         assert all(c == 1 for _, c in w.table.items())
         # the prime's variables are the cells off the witness support
@@ -182,8 +180,7 @@ def test_cycle_witness_counts_and_shape(c4):
 def test_cycle_witness_margins_never_strictly_positive(n):
     am = margin_map(cycle_graph(n))
     for w in cycle_prime_witnesses(n):
-        if not w.is_toric:
-            assert 0 in margins(am, w.table)
+        assert 0 in margins(am, w.table)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -198,8 +195,6 @@ def test_quadrics_touch_cycle_primes_symmetrically(n):
     # a quadric uses a prime variable on its plus side iff it does on minus
     quads = cycle_quadratic_moves(n)
     for w in cycle_prime_witnesses(n):
-        if w.is_toric:
-            continue
         support = set(w.table.support)
         for m in quads:
             plus_touch = not set(m.plus.support) <= support
@@ -211,8 +206,6 @@ def test_quadrics_touch_cycle_primes_symmetrically(n):
 def test_every_cycle_prime_avoided_by_some_quartic(n):
     quartics = cycle_quartic_moves(n)
     for w in cycle_prime_witnesses(n):
-        if w.is_toric:
-            continue
         support = set(w.table.support)
         assert any(
             set(m.plus.support) <= support and set(m.minus.support) <= support
@@ -253,22 +246,21 @@ def test_k2n_quartics_margin_neutral_and_degree4(k22_shape, k22):
 
 
 def test_k2n_witness_counts(k22_shape, k23_shape):
-    assert len(k2n_prime_witnesses(k22_shape)) == 9
-    assert len(k2n_prime_witnesses(k23_shape)) == 37
+    # the listed primes, and the toric ideal
+    assert len(k2n_prime_witnesses(k22_shape)) + 1 == 9
+    assert len(k2n_prime_witnesses(k23_shape)) + 1 == 37
     g48 = K2NShape((2, 4))
-    assert len(k2n_prime_witnesses(g48)) == 201
+    assert len(k2n_prime_witnesses(g48)) + 1 == 201
 
 
 def test_k2n_n4_requires_equal_slices(k22_shape):
-    ids = [w.id for w in k2n_prime_witnesses(k22_shape) if not w.is_toric]
+    ids = [w.id for w in k2n_prime_witnesses(k22_shape)]
     assert all("a=3" in i and "b=3" in i or "a=4" in i and "b=4" in i for i in ids)
 
 
 def test_k2n_witness_structure(k23_shape):
     space = k23_shape.space
     for w in k2n_prime_witnesses(k23_shape):
-        if w.is_toric:
-            continue
         pattern = r"P\[a=(\d),C=\{(\d+)\},b=(\d),D=\{(\d+)\}\]"
         a, c_set, b, d_set = re.fullmatch(pattern, w.id).groups()
         a, b = int(a), int(b)
@@ -288,8 +280,6 @@ def test_k2n_witness_structure(k23_shape):
 def test_k2n_quads_touch_primes_symmetrically(k23_shape):
     quads = k2n_quadratic_moves(k23_shape)
     for w in k2n_prime_witnesses(k23_shape):
-        if w.is_toric:
-            continue
         support = set(w.table.support)
         for m in quads:
             assert (set(m.plus.support) <= support) == (set(m.minus.support) <= support)
@@ -316,8 +306,6 @@ def test_matching_functional_vanishes_on_slice_primes(k23_shape):
     am = margin_map(k2n_graph(k23_shape))
     fams = k2n_facet_inequalities(k23_shape, am)
     for w in k2n_prime_witnesses(k23_shape):
-        if w.is_toric:
-            continue
         a, b = re.match(r"P\[a=(\d+),.*b=(\d+),", w.id).groups()
         if a == b:
             continue
@@ -351,13 +339,30 @@ def test_pyramid_prime_count():
 
 def test_pyramid_witness_composition(c4):
     ws = pyramid_prime_witnesses(c4, cycle_prime_witnesses(4), 2)
-    assert len(ws) == 81
-    assert sum(1 for w in ws if w.is_toric) == 1
+    assert len(ws) + 1 == 81
     # mixed layers: toric layer contributes all 16 cells, prime layer 8
-    mixed = [w for w in ws if not w.is_toric and "toric" in w.id]
+    mixed = [w for w in ws if "toric" in w.id]
     assert mixed and all(len(w.table) == 16 + 8 for w in mixed)
-    pure = [w for w in ws if not w.is_toric and "toric" not in w.id]
+    pure = [w for w in ws if "toric" not in w.id]
     assert pure and all(len(w.table) == 16 for w in pure)
+
+
+@pytest.mark.parametrize("n, d0, count", [(4, 3, 729), (5, 2, 1681)])
+def test_pyramid_composition_past_two_layers(n, d0, count):
+    base = cycle_graph(n)
+    base_ws = cycle_prime_witnesses(n)
+    ws = pyramid_prime_witnesses(base, base_ws, d0)
+    # the listed primes, and the toric ideal
+    assert len(ws) + 1 == pyramid_prime_count(len(base_ws) + 1, d0) == count
+    assert len({w.id for w in ws}) == len(ws)
+    by_id = {w.id: w.table for w in base_ws}
+    layer = Table({x: 1 for x in base.levels.states()})
+    for w in ws:
+        labels = w.id[len("pyr["):-1].split(",")
+        assert len(labels) == d0 and set(labels) != {"toric"}
+        for level, label in enumerate(labels, start=1):
+            cells = Table({s[:-1]: c for s, c in w.table.items() if s[-1] == level})
+            assert cells == (layer if label == "toric" else by_id[label])
 
 
 def test_witness_dedup_is_stable(k23_shape):
