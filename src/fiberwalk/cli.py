@@ -209,6 +209,10 @@ def cmd_witness_disconnect(args):
     shape = k2n_shape_of(preset.graph)
     am = margin_map(preset.graph)
     witnesses = closed_form_primes(preset.graph)
+    if args.prime == "toric":  # family primes lists it last, with no witness
+        raise FiberwalkError(
+            "prime 'toric' is the toric ideal: it has no witness monomial to pad with"
+        )
     if args.prime:
         try:
             w = next(x for x in witnesses if x.id == args.prime)

@@ -136,23 +136,21 @@ def _extreme_rays(constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     pair's common tight set.  A pair whose common set has fewer than r - 2
     constraints cannot span a 2-face and is dropped at once.
 
-    Each ray keeps an id while it lives, and zero[c], the bitset over ids of
-    the rays tight on processed constraint c, persists across steps: a step
-    ORs its new rays' ids into the sets of their tight constraints, with one
-    bulk transpose of their masks, and appends the set of the inserted
-    constraint.  Dead rays stay in zero; the mask of live ids masks them
-    out.  Only when some pair is left, each group of 8 processed constraints
-    gets a 256-entry table whose entry v is the AND of the sets of the set
-    bits of v, and entry 0 is the live mask.  The rays tight on a common set
-    are then the AND of one table entry per byte of the set, and the pair is
-    adjacent when that leaves the pair alone.  Before that AND, a pair is
-    tried against the step's last 8 blockers: a live ray other than the pair
-    that is tight on the whole common set proves the pair not adjacent.  A
-    pair the AND rejects adds its lowest-id survivor as a blocker.  Neither
-    changes which pairs are adjacent or their order.  Live rays in id order
-    are the list order, so renumbering them 0, 1, ... with one transpose of
-    their tight masks, done when ids outnumber live rays 2:1, keeps the
-    bitsets narrow and changes nothing else.
+    Each ray gets the next id when it is made and keeps it, and zero[c], the
+    bitset over ids of the rays tight on processed constraint c, persists
+    across steps: a step ORs its new rays' ids into the sets of their tight
+    constraints, with one bulk transpose of their masks, and appends the set
+    of the inserted constraint.  Dead rays stay in zero; the mask of live
+    ids masks them out.  Only when some pair is left, each group of 8
+    processed constraints gets a 256-entry table whose entry v is the AND of
+    the sets of the set bits of v, and entry 0 is the live mask.  The rays
+    tight on a common set are then the AND of one table entry per byte of
+    the set, and the pair is adjacent when that leaves the pair alone.
+    Before that AND, a pair is tried against the step's last 8 blockers: a
+    live ray other than the pair that is tight on the whole common set
+    proves the pair not adjacent.  A pair the AND rejects adds its lowest-id
+    survivor as a blocker.  Neither changes which pairs are adjacent or
+    their order.
     """
     r = len(constraints[0])
     base_idx = _independent_subset(constraints)
@@ -239,11 +237,6 @@ def _extreme_rays(constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
             t | bit for t in new_tight
         ]
         ids = [ids[k] for k in keep] + list(range(first, n_ids))
-        if n_ids >= 2 * len(rays):
-            ids = list(range(len(rays)))
-            n_ids = len(rays)
-            live = (1 << n_ids) - 1
-            zero = _transpose(tight, len(zero))
     return rays
 
 

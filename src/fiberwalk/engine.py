@@ -89,19 +89,15 @@ class ComponentReport:
         """The packed members sorted, on first use; None when truncated."""
         return None if self.truncated else tuple(sorted(self.visited))
 
-    @property
-    def member_set(self) -> set[bytes]:
-        """The packed members; empty when the closure was truncated."""
-        return set() if self.truncated else self.visited
-
     def contains(self, t: Table) -> bool:
         """Whether t is a member, by its packed bytes; a table that cannot be
-        packed (degree above 255, a state outside the space) is not one."""
+        packed (degree above 255, a state outside the space) is not one, and
+        a truncated report has no members."""
         try:
             b = pack_table(t, self.space)
         except FiberwalkError:
             return False
-        return b in self.member_set
+        return not self.truncated and b in self.visited
 
 
 def connected_component(
@@ -133,18 +129,36 @@ class ConnectResult:
     path: Optional[list[PathStep]] = None
 
 
-def _trace(parents: dict, end: bytes) -> list[tuple[int, bool]]:
+def _steps(parents: dict, t: bytes) -> list[tuple[int, bool]]:
+    """The (move index, forward) steps from the root of parents to t."""
     steps = []
-    cur = end
-    while True:
-        prev = parents[cur]
-        if prev is None:
-            break
-        pb, k, fwd = prev
+    while parents[t] is not None:
+        t, k, fwd = parents[t]
         steps.append((k, fwd))
-        cur = pb
     steps.reverse()
     return steps
+
+
+def _expand(frontier: list[bytes], mine: dict, theirs: dict, pm, node_cap: int):
+    """One round of one side: the images of the sorted frontier not yet in
+    mine, each entered in mine with its (parent, move index, forward).
+
+    Returns (next frontier, None), with [] once the side is exhausted;
+    (None, None) when a new table would take mine past node_cap; and
+    (next frontier, t) at the first new table t that theirs holds too.
+    """
+    nxt = []
+    for t in sorted(frontier):
+        for k, fwd, nb in kernel.neighbors_signed(t, pm):
+            if nb in mine:
+                continue
+            if len(mine) >= node_cap:
+                return None, None
+            mine[nb] = (t, k, fwd)
+            nxt.append(nb)
+            if nb in theirs:
+                return nxt, nb
+    return nxt, None
 
 
 def are_connected(
@@ -156,61 +170,32 @@ def are_connected(
 ) -> ConnectResult:
     """Bidirectional BFS between two tables.
 
+    Side 0 grows from u and side 1 from v, each with a parent map (at most
+    node_cap tables) and a frontier.  Each round expands the sorted
+    frontier of the open side that has seen fewer tables, u's on a tie, so
+    the path is deterministic.  A frontier is None once its side hit the
+    cap and [] once the side is exhausted; neither is open.
+
     Returns a replayable path on success (verified by re-applying it), a
-    definite "not-connected" when either side is exhausted below its cap,
-    and "inconclusive" when both searches were truncated first.
+    definite "not-connected" when either side is exhausted, and
+    "inconclusive" when both sides hit the cap first.
     """
     if node_cap < 1:
         raise TooLargeError("node_cap must be >= 1")
     bu, bv = pack_table(u, space), pack_table(v, space)  # before the moves, as above
     pm = pack_move_set(moves, space)
-    if bu == bv:
-        return ConnectResult("connected", [])
-
-    sides = [
-        {"parents": {bu: None}, "frontier": [bu], "done": False},
-        {"parents": {bv: None}, "frontier": [bv], "done": False},
-    ]
-
-    def expand(side_idx: int) -> Optional[bytes]:
-        side, other = sides[side_idx], sides[1 - side_idx]
-        nxt = []
-        for t in sorted(side["frontier"]):
-            for k, fwd, nb in kernel.neighbors_signed(t, pm):
-                if nb in side["parents"]:
-                    continue
-                if len(side["parents"]) >= node_cap:
-                    side["done"] = "truncated"
-                    side["frontier"] = nxt
-                    return None
-                side["parents"][nb] = (t, k, fwd)
-                nxt.append(nb)
-                if nb in other["parents"]:
-                    side["frontier"] = nxt
-                    return nb
-        side["frontier"] = nxt
-        if not nxt:
-            side["done"] = "exhausted"
-        return None
-
-    meet = None
-    while meet is None:
-        active = [i for i in (0, 1) if not sides[i]["done"] and sides[i]["frontier"]]
-        if not active:
-            break
-        i = min(active, key=lambda j: len(sides[j]["parents"]))
-        meet = expand(i)
-
+    parents = ({bu: None}, {bv: None})
+    frontiers = [[bu], [bv]]
+    meet = bu if bu == bv else None
+    while meet is None and any(frontiers):
+        i = min((j for j in (0, 1) if frontiers[j]), key=lambda j: len(parents[j]))
+        frontiers[i], meet = _expand(frontiers[i], parents[i], parents[1 - i], pm, node_cap)
     if meet is None:
-        if any(s["done"] == "exhausted" for s in sides):
-            return ConnectResult("not-connected")
-        return ConnectResult("inconclusive")
+        return ConnectResult("not-connected" if [] in frontiers else "inconclusive")
 
-    fwd_steps = _trace(sides[0]["parents"], meet)
-    back_steps = _trace(sides[1]["parents"], meet)
     # steps recorded from v toward the meeting point replay reversed
-    steps = fwd_steps + [(k, not fwd) for k, fwd in reversed(back_steps)]
-    path = [PathStep(moves[k], fwd) for k, fwd in steps]
+    back = [(k, not fwd) for k, fwd in reversed(_steps(parents[1], meet))]
+    path = [PathStep(moves[k], fwd) for k, fwd in _steps(parents[0], meet) + back]
 
     cur = u
     for st in path:

@@ -78,7 +78,7 @@ def k33_run() -> dict:
     contains_goal = None
     path_len = None
     if not inconclusive:
-        disjoint = c_plus.member_set.isdisjoint(c_minus.member_set)
+        disjoint = c_plus.visited.isdisjoint(c_minus.visited)
         contains_goal = c_big.contains(big_goal)
         if contains_goal:
             res = are_connected(big_start, big_goal, moves, g.levels, node_cap=RUN_NODE_CAP)

@@ -7,19 +7,29 @@ them.  `graphs.global_markov_moves` builds the same list straight from the
 vertex sets whose induced graph is disconnected, each move once; the tests
 compare the two.
 
-Also `members`, the unpacked members of a component report.
+Also `members`, the unpacked members of a component report, and
+`are_connected`, the bidirectional search as it was written with a state
+dict per side, which the tests compare the library's search with.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable
+from typing import FrozenSet, Iterable, Optional, Sequence
 
-from fiberwalk.engine import unpack_table
+from fiberwalk import _kernel as kernel
+from fiberwalk.engine import (
+    DEFAULT_NODE_CAP,
+    ConnectResult,
+    PathStep,
+    pack_move_set,
+    pack_table,
+    unpack_table,
+)
 from fiberwalk.errors import IncompatibleShapeError, TooLargeError
 from fiberwalk.graphs import MAX_MOVE_VERTICES, LabeledGraph, _block_states
-from fiberwalk.tables import Move, StateSpace, Table
+from fiberwalk.tables import Move, StateSpace, Table, apply_move
 
 VertexSet = FrozenSet[int]
 
@@ -146,3 +156,90 @@ def members(rep):
     if rep.packed is None:
         return None
     return tuple(unpack_table(b, rep.space) for b in rep.packed)
+
+
+def _trace(parents: dict, end: bytes) -> list[tuple[int, bool]]:
+    steps = []
+    cur = end
+    while True:
+        prev = parents[cur]
+        if prev is None:
+            break
+        pb, k, fwd = prev
+        steps.append((k, fwd))
+        cur = pb
+    steps.reverse()
+    return steps
+
+
+def are_connected(
+    u: Table,
+    v: Table,
+    moves: Sequence[Move],
+    space: StateSpace,
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> ConnectResult:
+    """Bidirectional BFS between two tables.
+
+    Returns a replayable path on success (verified by re-applying it), a
+    definite "not-connected" when either side is exhausted below its cap,
+    and "inconclusive" when both searches were truncated first.
+    """
+    if node_cap < 1:
+        raise TooLargeError("node_cap must be >= 1")
+    bu, bv = pack_table(u, space), pack_table(v, space)  # before the moves, as above
+    pm = pack_move_set(moves, space)
+    if bu == bv:
+        return ConnectResult("connected", [])
+
+    sides = [
+        {"parents": {bu: None}, "frontier": [bu], "done": False},
+        {"parents": {bv: None}, "frontier": [bv], "done": False},
+    ]
+
+    def expand(side_idx: int) -> Optional[bytes]:
+        side, other = sides[side_idx], sides[1 - side_idx]
+        nxt = []
+        for t in sorted(side["frontier"]):
+            for k, fwd, nb in kernel.neighbors_signed(t, pm):
+                if nb in side["parents"]:
+                    continue
+                if len(side["parents"]) >= node_cap:
+                    side["done"] = "truncated"
+                    side["frontier"] = nxt
+                    return None
+                side["parents"][nb] = (t, k, fwd)
+                nxt.append(nb)
+                if nb in other["parents"]:
+                    side["frontier"] = nxt
+                    return nb
+        side["frontier"] = nxt
+        if not nxt:
+            side["done"] = "exhausted"
+        return None
+
+    meet = None
+    while meet is None:
+        active = [i for i in (0, 1) if not sides[i]["done"] and sides[i]["frontier"]]
+        if not active:
+            break
+        i = min(active, key=lambda j: len(sides[j]["parents"]))
+        meet = expand(i)
+
+    if meet is None:
+        if any(s["done"] == "exhausted" for s in sides):
+            return ConnectResult("not-connected")
+        return ConnectResult("inconclusive")
+
+    fwd_steps = _trace(sides[0]["parents"], meet)
+    back_steps = _trace(sides[1]["parents"], meet)
+    # steps recorded from v toward the meeting point replay reversed
+    steps = fwd_steps + [(k, not fwd) for k, fwd in reversed(back_steps)]
+    path = [PathStep(moves[k], fwd) for k, fwd in steps]
+
+    cur = u
+    for st in path:
+        cur = apply_move(cur, st.move if st.forward else st.move.reverse())
+    if cur != v:
+        raise AssertionError("path replay failed; kernel inconsistency")
+    return ConnectResult("connected", path)

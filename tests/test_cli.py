@@ -81,6 +81,46 @@ def test_connected_e_simple(tmp_path, capsys):
     assert rep["result"]["path_length"] == 1
 
 
+# two connected K(3,3) pairs of degree 16: cells "xyzuvw", "x2" for a count of 2
+K33_CONNECTED = {
+    "k33-conn-a": (
+        "111221 121122 121212 122122 122222 211122 211211 211222 212112 212122x2 221211 "
+        "221221 222212",
+        "111121 111222 112112 112222 121222 211112 211221 212122 221211x2 221222 222122x2 "
+        "222212",
+        8, "fa3ec7623a6e48ce9c6b302b1f591bc44b820e3820b5373dc7aae8076de32ca9",
+    ),
+    "k33-conn-b": (
+        "111121 121111 121221 122111 122121x2 212121 212212 221122x2 221221 221222 "
+        "222111 222211 222222",
+        "112111 121121x2 122121x2 122211 211121 211222 221112 221221 221222 222111 "
+        "222112 222221 222222",
+        9, "b7426fe67d86c25b5d5a2974c7237aa8fc31dcb9f797c363a6d6aaab76f0b30c",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(K33_CONNECTED))
+def test_connected_k33_paths_are_pinned(tmp_path, capsys, case):
+    """The whole result, path included: the search is deterministic."""
+    *codes, length, digest = K33_CONNECTED[case]
+    space = resolve("k33").space
+    files = []
+    for side, code in zip("uv", codes):
+        cells = []
+        for tok in code.split():
+            cell, _, count = tok.partition("x")
+            cells.append((tuple(map(int, cell)), int(count or 1)))
+        files.append(str(tmp_path / f"{side}.json"))
+        dump(jsonio.table_to_json(Table(cells), space), files[-1])
+    code, rep = run(capsys, "connected", "--preset", "k33", "--global-markov",
+                    "--u", files[0], "--v", files[1])
+    r = rep["result"]
+    assert code == 0 and r["status"] == "connected" and r["path_length"] == length
+    blob = json.dumps(r, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
 def test_verify_basis_family(capsys):
     code, rep = run(
         capsys, "verify-basis", "--preset", "c4", "--family", "cycle", "--max-degree", "4"
@@ -125,6 +165,15 @@ def test_witness_disconnect_cli(capsys):
     assert r["degree"] == 20
     assert r["margins_strictly_positive"] is True
     assert r["disconnected"] is True
+
+
+@pytest.mark.parametrize("prime, error", [
+    ("toric", "prime 'toric' is the toric ideal: it has no witness monomial to pad with"),
+    ("nope", "unknown prime id 'nope'"),
+])
+def test_witness_disconnect_refuses_a_prime_without_a_witness(capsys, prime, error):
+    code, rep = run(capsys, "witness-disconnect", "--preset", "k23", "--prime", prime)
+    assert code == 1 and rep["error"] == error
 
 
 def test_family_and_latin_cli(capsys, shared_seth_cone):

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiberwalk.engine import (
+    DEFAULT_NODE_CAP,
     are_connected,
     connected_component,
     enumerate_fiber,
     pack_table,
+    unpack_table,
     verify_markov_basis,
 )
 from fiberwalk.errors import (
@@ -31,9 +33,11 @@ from fiberwalk.families import (
     k2n_shape_of,
 )
 from fiberwalk.graphs import LabeledGraph, global_markov_moves, margin_map, margins
+from fiberwalk.k33 import k33_graph
 from fiberwalk.presets import resolve
 from fiberwalk.tables import Move, StateSpace, Table, apply_move
 
+from reference import are_connected as reference_are_connected
 from reference import members
 
 N2 = StateSpace((2,))
@@ -140,6 +144,49 @@ def test_are_connected_path_replays():
 def test_are_connected_inconclusive_under_cap():
     res = are_connected(pt(6, 0), pt(0, 6), JUMPS, N2, node_cap=1)
     assert res.status == "inconclusive"
+
+
+@functools.cache
+def search_cases():
+    """(space, moves) pairs: a Markov basis, quadrics that are not one (c5),
+    the K(3,3) quadrics and the two one-cell jumps of e-simple."""
+    c4, c5, k33 = cycle_graph(4), cycle_graph(5), k33_graph()
+    e = resolve("e-simple")
+    return [
+        (c4.levels, cycle_markov_basis(4)),
+        (c5.levels, global_markov_moves(c5)),
+        (k33.levels, global_markov_moves(k33)),
+        (e.space, e.pinned_moves),
+    ]
+
+
+def outcome(res):
+    return res.status, None if res.path is None else [(s.move, s.forward) for s in res.path]
+
+
+@settings(max_examples=600)
+@given(st.data())
+def test_are_connected_matches_the_reference_search(data):
+    space, moves = data.draw(st.sampled_from(search_cases()))
+    states = list(space.states())
+    degree = data.draw(st.integers(1, 6))
+    rnd = data.draw(st.randoms(use_true_random=False))
+
+    def draw_table():
+        return Table([(rnd.choice(states), 1) for _ in range(degree)])
+
+    u = draw_table()
+    kind = data.draw(st.sampled_from(["closure", "random", "same"]))
+    if kind == "closure":
+        # another member of u's closure when it has one
+        closure = sorted(connected_component(u, moves, space, node_cap=500).visited)
+        others = [b for b in closure if b != pack_table(u, space)] or closure
+        v = unpack_table(rnd.choice(others), space)
+    else:
+        v = draw_table() if kind == "random" else u
+    cap = data.draw(st.sampled_from([1, 2, 5, 40, DEFAULT_NODE_CAP]))
+    expected = reference_are_connected(u, v, moves, space, node_cap=cap)
+    assert outcome(are_connected(u, v, moves, space, node_cap=cap)) == outcome(expected)
 
 
 def test_enumerate_fiber_degree_zero(c4):
@@ -458,7 +505,7 @@ def test_closed_form_basis_closures_are_whole_fibers(name):
         t = Table([(s, 1) for s in cells])
         fiber = enumerate_fiber(am, margins(am, t))
         rep = connected_component(t, basis, space)
-        assert rep.member_set == {pack_table(x, space) for x in fiber}
+        assert rep.visited == {pack_table(x, space) for x in fiber}
 
     closure_is_fiber()
 
@@ -471,7 +518,7 @@ def test_contains_looks_up_packed_members(c4):
     fiber = enumerate_fiber(am, margins(am, quartic.plus))
     # the quadratic moves leave the quartic's other side out of the component
     assert quartic.minus in fiber and quartic.minus not in inside
-    assert rep.member_set == frozenset(rep.packed)
+    assert rep.visited == frozenset(rep.packed)
     for t in fiber | {Table({(1, 1, 1, 1): 1}), Table()}:
         assert rep.contains(t) == (t in inside)
     # tables that cannot be packed are not members

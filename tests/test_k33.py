@@ -102,7 +102,7 @@ def test_search_rederives_the_witness_at_pair_140():
     joint = connected_component(u + w + w, moves, g.levels, node_cap=4096)
     assert (a.size, b.size, joint.size) == (18, 18, 90)
     assert not (a.truncated or b.truncated or joint.truncated)
-    assert a.member_set.isdisjoint(b.member_set)
+    assert a.visited.isdisjoint(b.visited)
     assert joint.contains(v + w + w)
 
 
